@@ -263,6 +263,19 @@ struct ProfileState {
 /// Sentinel slot index for "no node designated" (radio/MCU/probe taps).
 const NO_SLOT: usize = usize::MAX;
 
+/// Whether `pe`'s output FIFO holds data, so a push into it stalls.
+fn occupied(pe: &dyn ProcessingElement) -> bool {
+    pe.output_fifo().is_some_and(|f| !f.is_empty())
+}
+
+/// Whether two of `targets` name the same slot.
+fn shares_slot(targets: impl Iterator<Item = NodeId> + Clone) -> bool {
+    let all = targets.clone();
+    targets
+        .enumerate()
+        .any(|(k, a)| all.clone().take(k).any(|b| b == a))
+}
+
 /// Collects the byte stream headed for the radio, applying the same block
 /// framing the monolithic codecs use so compression outputs can be
 /// verified by decompression.
@@ -319,7 +332,7 @@ impl RadioCollector {
 /// Always-on per-slot activity totals.
 ///
 /// The runtime maintains these plain counters on every run — they cost a
-/// handful of integer adds per token and never observe the sink — so
+/// handful of integer adds per delivered burst and never observe the sink — so
 /// [`crate::metrics::TaskMetrics::pe_activity`] is identical whether a
 /// recorder, a [`NullSink`], or nothing at all is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -349,7 +362,7 @@ pub struct Runtime {
     fabric: Fabric,
     sources: Vec<SourceRoute>,
     /// Slot index of the radio / MCU / probe tap, or [`NO_SLOT`] — plain
-    /// integer compares on the per-token paths.
+    /// integer compares once per delivered burst.
     radio_slot: usize,
     mcu_slot: usize,
     probe_slot: usize,
@@ -370,6 +383,9 @@ pub struct Runtime {
     /// drain; its capacity ping-pongs with the PE FIFOs, so steady state
     /// allocates nothing.
     burst: VecDeque<Token>,
+    /// Second scratch queue: copies of a burst for all but the last
+    /// consumer of a fanned-out producer, and byte-adapted source frames.
+    copy: VecDeque<Token>,
     totals: Vec<SlotTotals>,
     sink: Arc<dyn TelemetrySink>,
     /// Totals at the start of the current telemetry window.
@@ -393,8 +409,8 @@ pub struct Runtime {
     /// a locking sink synchronizes once per window, not once per frame.
     latency_pending: Vec<u64>,
     /// Causal-trace collector, when [`Runtime::attach_tracing`] wired one.
-    /// Untraced frames cost one sampler check; traced frames take the
-    /// generic propagation path and record per-delivery spans.
+    /// Untraced frames cost one sampler check; traced frames snapshot
+    /// consumer stalls around each burst and record per-delivery spans.
     tracer: Option<Arc<Tracer>>,
     /// Modeled NoC serialization cost (interconnect links clock at the
     /// radio ceiling's byte rate). Filled by [`Runtime::attach_tracing`].
@@ -404,8 +420,8 @@ pub struct Runtime {
     /// Batched quiet-frame dispatch toggle (on by default). Quiet
     /// stretches — upcoming whole frames guaranteed to produce zero
     /// output tokens at every source PE — are delivered through one
-    /// [`ProcessingElement::push_samples`] call per source instead of
-    /// per-token pushes, and propagation is skipped entirely. Outputs,
+    /// [`ProcessingElement::push_samples`] call per source instead of one
+    /// delivery per frame, and propagation is skipped entirely. Outputs,
     /// counters, telemetry, and traces are bit-identical either way.
     block_dispatch: bool,
     /// Span events buffered during a traced frame and recorded under one
@@ -462,6 +478,7 @@ impl Runtime {
             route_table: Vec::new(),
             route_gen: 0,
             burst: VecDeque::new(),
+            copy: VecDeque::new(),
             pes,
             fabric,
             sources,
@@ -840,7 +857,7 @@ impl Runtime {
 
     /// Delivers `chunk` quiet frames (`frame_len` samples each) to every
     /// source PE in one batched call per source, replicating the scalar
-    /// path's accounting without per-token dispatch or propagation. The
+    /// path's accounting without per-frame dispatch or propagation. The
     /// caller guarantees quietness: no source PE emits a token for any of
     /// these frames, so output FIFOs stay empty (no stalls or bursts) and
     /// the tracer neither samples a frame nor expires a trace here.
@@ -853,15 +870,11 @@ impl Runtime {
     ) -> Result<(), RuntimeError> {
         for k in 0..self.sources.len() {
             let src = self.sources[k];
-            let slot = src.to.0;
             let tokens = (chunk * frame_len) as u64;
-            let t = &mut self.totals[slot];
-            t.tokens_in += tokens;
-            t.bytes_in += 2 * tokens;
-            t.busy_cycles += self.cycles_per_token[slot] * tokens;
+            self.charge(src.to.0, tokens, 2 * tokens, 0);
             // Sources carry Token::Sample only, so the probe tap (which
             // records Token::Value) can never fire on this path.
-            self.pes[slot].push_samples(src.port, samples)?;
+            self.pes[src.to.0].push_samples(src.port, samples)?;
         }
         if let Some(p) = &mut self.profile {
             // Quiet-skip attribution, batched: one add per source for the
@@ -929,17 +942,27 @@ impl Runtime {
         } else {
             Vec::new()
         };
-        for s in frame {
+        // Each source takes the whole frame in one delivery, unless two
+        // sources share a slot: that PE then sees the samples interleaved,
+        // one per source in turn, as the ADC emits them.
+        let step = if shares_slot(self.sources.iter().map(|s| s.to)) {
+            1
+        } else {
+            frame.len().max(1)
+        };
+        for part in frame.chunks(step) {
             for k in 0..self.sources.len() {
                 let src = self.sources[k];
                 match src.adapter {
-                    Adapter::Direct => {
-                        self.push_to(src.to, src.port, Token::Sample(*s), 2)?;
-                    }
+                    Adapter::Direct => self.deliver_samples(src.to.0, src.port, part)?,
                     Adapter::SamplesToBytes => {
-                        for b in s.to_le_bytes() {
-                            self.push_to(src.to, src.port, Token::Byte(b), 1)?;
-                        }
+                        let mut bytes = std::mem::take(&mut self.copy);
+                        bytes.clear();
+                        bytes.extend(part.iter().flat_map(|s| s.to_le_bytes()).map(Token::Byte));
+                        let res =
+                            self.deliver(src.to.0, src.port, &mut bytes, 2 * part.len() as u64);
+                        self.copy = bytes;
+                        res?;
                     }
                 }
             }
@@ -949,7 +972,7 @@ impl Runtime {
         }
         if let Some(p) = &mut self.profile {
             // Source-ingest attribution: exactly the cycles the loop
-            // above charged via `push_to` (one token per sample for
+            // above charged via `charge` (one token per sample for
             // Direct, two per sample byte-adapted).
             for src in &self.sources {
                 let slot = src.to.0;
@@ -1247,32 +1270,74 @@ impl Runtime {
         self.window_start = end;
     }
 
-    /// Delivers `token` (whose wire size is `bytes`, computed once by the
-    /// caller) into a PE's input port, accounting the slot's totals.
-    fn push_to(
+    /// Charges `tokens` pushes of `bytes` wire bytes into `slot`, `stalls`
+    /// of which found its output FIFO still occupied — the consumer had not
+    /// kept up, which counts as back-pressure.
+    fn charge(&mut self, slot: usize, tokens: u64, bytes: u64, stalls: u64) {
+        let t = &mut self.totals[slot];
+        t.tokens_in += tokens;
+        t.bytes_in += bytes;
+        t.busy_cycles += self.cycles_per_token[slot] * tokens;
+        t.stall_cycles += stalls;
+    }
+
+    /// Delivers a burst (`bytes` wire bytes in all) into `to`'s input
+    /// `port` and accounts it once. Pushes go one at a time only while the
+    /// consumer's output FIFO is empty: nothing drains that FIFO during a
+    /// delivery, so once it is occupied every later push stalls too, and
+    /// the rest of the burst is handed over in one call.
+    fn deliver(
         &mut self,
-        to: NodeId,
+        to: usize,
         port: usize,
-        token: Token,
+        tokens: &mut VecDeque<Token>,
         bytes: u64,
     ) -> Result<(), RuntimeError> {
-        if self.probe_slot == to.0 {
-            if let Token::Value(v) = token {
-                self.probed.push((port, v));
-            }
-        }
-        let Some(t) = self.totals.get_mut(to.0) else {
-            return Err(RuntimeError::NoSuchNode(to));
+        let Some(pe) = self.pes.get_mut(to) else {
+            return Err(RuntimeError::NoSuchNode(NodeId(to)));
         };
-        t.tokens_in += 1;
-        t.bytes_in += bytes;
-        t.busy_cycles += self.cycles_per_token[to.0];
-        // A push that finds the output FIFO still occupied means the
-        // consumer has not kept up — count it as back-pressure.
-        if self.pes[to.0].output_fifo().is_some_and(|f| !f.is_empty()) {
-            t.stall_cycles += 1;
+        if self.probe_slot == to {
+            self.probed.extend(tokens.iter().filter_map(|t| match t {
+                Token::Value(v) => Some((port, *v)),
+                _ => None,
+            }));
         }
-        self.pes[to.0].push(port, token)?;
+        let n = tokens.len() as u64;
+        while !occupied(&**pe) {
+            let Some(token) = tokens.pop_front() else {
+                break;
+            };
+            pe.push(port, token)?;
+        }
+        let stalls = tokens.len() as u64;
+        if stalls > 0 {
+            pe.push_burst(port, tokens)?;
+        }
+        self.charge(to, n, bytes, stalls);
+        Ok(())
+    }
+
+    /// [`Runtime::deliver`] for ADC samples: the stalled remainder goes
+    /// through one [`ProcessingElement::push_samples`] call.
+    fn deliver_samples(
+        &mut self,
+        to: usize,
+        port: usize,
+        samples: &[i16],
+    ) -> Result<(), RuntimeError> {
+        let Some(pe) = self.pes.get_mut(to) else {
+            return Err(RuntimeError::NoSuchNode(NodeId(to)));
+        };
+        let mut pushed = 0;
+        while pushed < samples.len() && !occupied(&**pe) {
+            pe.push(port, Token::Sample(samples[pushed]))?;
+            pushed += 1;
+        }
+        if pushed < samples.len() {
+            pe.push_samples(port, &samples[pushed..])?;
+        }
+        let n = samples.len() as u64;
+        self.charge(to, n, 2 * n, n - pushed as u64);
         Ok(())
     }
 
@@ -1321,13 +1386,7 @@ impl Runtime {
                 seen.push(to);
                 self.totals[to].stall_cycles - stall_base[to]
             };
-            let costs = DeliveryCosts {
-                noc_ns: 0,
-                wait_ns: (wait as f64 * self.ns_per_cycle[to]) as u64,
-                cross_ns: 0,
-                service_ns: ((tokens * self.cycles_per_token[to]) as f64 * self.ns_per_cycle[to])
-                    as u64,
-            };
+            let costs = self.price(None, to, tokens, bytes, wait);
             if accepted {
                 self.trace_buf.push(TraceEvent::Delivery {
                     tag,
@@ -1345,54 +1404,73 @@ impl Runtime {
         }
     }
 
-    /// Records one routed transfer of `bytes` payload bytes on the fabric
-    /// and in the telemetry sink's per-link counters.
-    fn account_transfer(&mut self, route: Route, bytes: u64, sink_on: bool) {
-        self.fabric
-            .record_transfer_bytes(route.from, route.to, bytes);
-        if sink_on {
-            let link = Scope::Link {
-                from: route.from.0 as u8,
-                to: route.to.0 as u8,
-            };
-            self.sink.add(link, Counter::BytesOut, bytes);
-            self.sink.add(link, Counter::TokensOut, 1);
+    /// Prices one delivery span: `n` tokens of `bytes` wire bytes into
+    /// `to` from the PE `from` (or from the ADC), `wait` of whose pushes
+    /// stalled. ADC deliveries cross no link and no clock domain.
+    fn price(
+        &self,
+        from: Option<usize>,
+        to: usize,
+        n: u64,
+        bytes: u64,
+        wait: u64,
+    ) -> DeliveryCosts {
+        let ns = &self.ns_per_cycle;
+        let (noc_ns, cross_ns) = match from {
+            None => (0, 0),
+            Some(from) => (
+                (bytes as f64 * self.ns_per_link_byte) as u64,
+                // Clock-domain crossing: one consumer-domain cycle of
+                // synchronizer latency when producer and consumer run at
+                // different anchor frequencies (§IV-D dual-clock FIFOs).
+                if ns[from] != ns[to] { ns[to] as u64 } else { 0 },
+            ),
+        };
+        DeliveryCosts {
+            noc_ns,
+            wait_ns: (wait as f64 * ns[to]) as u64,
+            cross_ns,
+            service_ns: ((n * self.cycles_per_token[to]) as f64 * ns[to]) as u64,
         }
     }
 
     /// Drains every PE output until the array is quiescent.
     ///
-    /// This is the streaming hot path: it performs zero heap allocations
-    /// per token in steady state. Fan-out is looked up in the precomputed
-    /// per-node route table, and the token itself is *moved* to its
-    /// consumer — cloned only for the first `fan_out - 1` consumers of a
-    /// multi-route node.
+    /// This is the streaming hot path. Each drained burst reaches each of
+    /// its consumers in one [`Runtime::deliver`] call and is accounted once
+    /// per burst: producer and consumer totals, fabric and sink link
+    /// counters, and the radio, MCU and probe taps. Fan-out is looked up
+    /// in the precomputed route table, and bursts move through two reusable
+    /// scratch queues, so steady state allocates nothing.
     fn propagate(&mut self) -> Result<(), RuntimeError> {
         if self.route_gen != self.fabric.generation() {
             self.sync_fabric()?;
         }
-        let sink_on = self.sink.enabled();
-        // The scratch buffer leaves `self` for the duration of the sweep so
-        // PEs can be drained into it while routes are consulted. On an
+        // The scratch queues leave `self` for the duration of the sweep so
+        // PEs can be drained into them while routes are consulted. On an
         // error mid-burst the undelivered remainder is discarded — the
         // stream is dead once a push fails.
         let mut burst = std::mem::take(&mut self.burst);
-        let result = self.propagate_burst(&mut burst, sink_on);
+        let mut copy = std::mem::take(&mut self.copy);
+        let result = self.propagate_burst(&mut burst, &mut copy);
         burst.clear();
+        copy.clear();
         self.burst = burst;
+        self.copy = copy;
         result
     }
 
     fn propagate_burst(
         &mut self,
         burst: &mut VecDeque<Token>,
-        sink_on: bool,
+        copy: &mut VecDeque<Token>,
     ) -> Result<(), RuntimeError> {
+        let sink_on = self.sink.enabled();
         loop {
             let mut moved = false;
             for i in 0..self.pes.len() {
                 // Idle PEs (the common case between block boundaries) cost
-                // one occupancy read, as the old pull-loop did.
+                // one occupancy read.
                 if self.pes[i].output_fifo().is_some_and(|f| f.is_empty()) {
                     continue;
                 }
@@ -1402,9 +1480,24 @@ impl Runtime {
                     continue;
                 }
                 moved = true;
+                let n = burst.len() as u64;
+                let bytes: u64 = burst.iter().map(|t| t.wire_bytes() as u64).sum();
+                let t = &mut self.totals[i];
+                t.tokens_out += n;
+                t.bytes_out += bytes;
                 let is_radio = self.radio_slot == i;
-                let is_mcu = self.mcu_slot == i;
-                let fan_out = self.route_table[i].len();
+                if is_radio {
+                    for token in burst.iter() {
+                        self.radio.consume(token);
+                    }
+                }
+                if self.mcu_slot == i {
+                    let frame = self.frame_idx;
+                    self.mcu_flags.extend(burst.iter().filter_map(|t| match t {
+                        Token::Flag(f) => Some((frame, *f)),
+                        _ => None,
+                    }));
+                }
                 // Sticky causal context: a traced frame tags its producers'
                 // output FIFOs, so every downstream burst inherits the tag.
                 // With no tracer attached this is a single branch per burst.
@@ -1413,171 +1506,64 @@ impl Runtime {
                 } else {
                     0
                 };
-                // Fast path for the dominant shape — one consumer, no
-                // radio/MCU/probe tap on either end: every counter the
-                // generic path updates per token is batched into one
-                // update per burst, including the sink's per-link counters
-                // when telemetry is attached (the adds are additive, so
-                // totals are identical). The per-push stall probe stays,
-                // as the consumer's output occupancy evolves during the
-                // burst. A sticky trace tag does NOT force the slow path:
-                // the one delivery span a tagged single-consumer burst
-                // produces is priced from exactly the aggregates computed
-                // here (token count, wire bytes, stall delta), so
-                // `trace_fast_burst` emits it bit-identically.
-                if fan_out == 1 && !is_radio && !is_mcu {
-                    let route = self.route_table[i][0];
-                    let to = route.to.0;
-                    if to < self.totals.len() && self.probe_slot != to {
-                        let mut n = 0u64;
-                        let mut total_bytes = 0u64;
-                        let mut stalls = 0u64;
-                        let mut res = Ok(());
-                        // The consumer's output only grows during the
-                        // burst (nothing drains it until its own sweep),
-                        // so once a push observes back-pressure every
-                        // later push stalls too — probe until then.
-                        let mut stalled = false;
-                        while let Some(token) = burst.pop_front() {
-                            n += 1;
-                            total_bytes += token.wire_bytes() as u64;
-                            if !stalled {
-                                stalled = self.pes[to].output_fifo().is_some_and(|f| !f.is_empty());
-                            }
-                            if stalled {
-                                stalls += 1;
-                            }
-                            if let Err(e) = self.pes[to].push(route.to_port, token) {
-                                res = Err(RuntimeError::Pe(e));
-                                break;
-                            }
-                        }
-                        let t = &mut self.totals[i];
-                        t.tokens_out += n;
-                        t.bytes_out += total_bytes;
-                        let d = &mut self.totals[to];
-                        d.tokens_in += n;
-                        d.bytes_in += total_bytes;
-                        d.busy_cycles += self.cycles_per_token[to] * n;
-                        d.stall_cycles += stalls;
-                        self.fabric
-                            .record_transfers(route.from, route.to, n, total_bytes);
-                        if sink_on && n != 0 {
-                            let link = Scope::Link {
-                                from: route.from.0 as u8,
-                                to: route.to.0 as u8,
-                            };
-                            self.sink.add(link, Counter::BytesOut, total_bytes);
-                            self.sink.add(link, Counter::TokensOut, n);
-                        }
-                        if tag != 0 && res.is_ok() {
-                            self.trace_fast_burst(tag, i, route, n, total_bytes, stalls);
-                        }
-                        res?;
-                        continue;
-                    }
-                }
-                // Pre-burst snapshot for span costing — traced bursts only.
-                // The stall baseline reuses a scratch vector so traced
-                // bursts allocate nothing in steady state.
-                let trace_pre = if tag != 0 {
-                    let mut stall_base = std::mem::take(&mut self.trace_stall_scratch);
-                    stall_base.clear();
+                // Traced bursts price each span's wait from the consumer's
+                // stall counter before and after the delivery.
+                let mut stall_base = std::mem::take(&mut self.trace_stall_scratch);
+                stall_base.clear();
+                if tag != 0 {
                     stall_base.extend(
                         self.route_table[i]
                             .iter()
-                            .map(|r| self.totals.get(r.to.0).map_or(0, |t| t.stall_cycles)),
+                            .map(|r| self.totals[r.to.0].stall_cycles),
                     );
-                    Some((
-                        burst.len() as u64,
-                        burst.iter().map(|t| t.wire_bytes() as u64).sum::<u64>(),
-                        stall_base,
-                    ))
-                } else {
-                    None
-                };
-                while let Some(token) = burst.pop_front() {
-                    let bytes = token.wire_bytes() as u64;
-                    let t = &mut self.totals[i];
-                    t.tokens_out += 1;
-                    t.bytes_out += bytes;
-                    if is_radio {
-                        self.radio.consume(&token);
-                    }
-                    if is_mcu {
-                        if let Token::Flag(f) = token {
-                            self.mcu_flags.push((self.frame_idx, f));
+                }
+                let fan_out = self.route_table[i].len();
+                if shares_slot(self.route_table[i].iter().map(|r| r.to)) {
+                    // Two routes into one slot: that PE's state depends on
+                    // the order its ports see tokens, so stay interleaved.
+                    while let Some(token) = burst.pop_front() {
+                        let b = token.wire_bytes() as u64;
+                        for k in 0..fan_out {
+                            let route = self.route_table[i][k];
+                            copy.clear();
+                            copy.push_back(token.clone());
+                            self.deliver(route.to.0, route.to_port, copy, b)?;
                         }
                     }
-                    if fan_out == 0 {
-                        continue;
-                    }
-                    for k in 0..fan_out - 1 {
+                } else {
+                    // Each consumer takes the whole burst: a copy for all
+                    // but the last, which takes the burst itself.
+                    for k in 0..fan_out {
                         let route = self.route_table[i][k];
-                        self.account_transfer(route, bytes, sink_on);
-                        self.push_to(route.to, route.to_port, token.clone(), bytes)?;
+                        if k + 1 < fan_out {
+                            copy.clear();
+                            copy.extend(burst.iter().cloned());
+                            self.deliver(route.to.0, route.to_port, copy, bytes)?;
+                        } else {
+                            self.deliver(route.to.0, route.to_port, burst, bytes)?;
+                        }
                     }
-                    let route = self.route_table[i][fan_out - 1];
-                    self.account_transfer(route, bytes, sink_on);
-                    self.push_to(route.to, route.to_port, token, bytes)?;
                 }
-                if let Some((n, total_bytes, stall_base)) = trace_pre {
-                    self.trace_burst(tag, i, n, total_bytes, &stall_base, is_radio);
-                    self.trace_stall_scratch = stall_base;
+                for k in 0..fan_out {
+                    let route = self.route_table[i][k];
+                    self.fabric.record_transfers(route.from, route.to, n, bytes);
+                    if sink_on {
+                        let link = Scope::Link {
+                            from: route.from.0 as u8,
+                            to: route.to.0 as u8,
+                        };
+                        self.sink.add(link, Counter::BytesOut, bytes);
+                        self.sink.add(link, Counter::TokensOut, n);
+                    }
                 }
+                if tag != 0 {
+                    self.trace_burst(tag, i, n, bytes, &stall_base, is_radio);
+                }
+                self.trace_stall_scratch = stall_base;
             }
             if !moved {
                 return Ok(());
             }
-        }
-    }
-
-    /// Fast-path twin of [`Runtime::trace_burst`] for the single-consumer,
-    /// non-radio/MCU/probe burst shape: one delivery span priced from the
-    /// burst aggregates the fast path already computed (`stall_delta` is
-    /// the burst's observed back-pressure, identical to the generic
-    /// path's pre/post stall snapshot), with the same sticky-tag
-    /// keep/clear rules.
-    fn trace_fast_burst(
-        &mut self,
-        tag: u64,
-        from: usize,
-        route: Route,
-        n: u64,
-        total_bytes: u64,
-        stall_delta: u64,
-    ) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let to = route.to.0;
-        if self.open_tags.contains(&tag) {
-            let costs = DeliveryCosts {
-                noc_ns: (total_bytes as f64 * self.ns_per_link_byte) as u64,
-                wait_ns: (stall_delta as f64 * self.ns_per_cycle[to]) as u64,
-                cross_ns: if self.ns_per_cycle[from] != self.ns_per_cycle[to] {
-                    self.ns_per_cycle[to] as u64
-                } else {
-                    0
-                },
-                service_ns: ((n * self.cycles_per_token[to]) as f64 * self.ns_per_cycle[to]) as u64,
-            };
-            self.trace_buf.push(TraceEvent::Delivery {
-                tag,
-                from: Some((from as u8, self.pes[from].kind().name())),
-                to: to as u8,
-                to_name: self.pes[to].kind().name(),
-                tokens: n as u32,
-                bytes: total_bytes,
-                costs,
-            });
-            if let Some(fifo) = self.pes[to].output_fifo_mut() {
-                fifo.set_trace_tag(tag);
-            }
-        } else if let Some(fifo) = self.pes[from].output_fifo_mut() {
-            // The delivery was refused (trace closed or expired): stop the
-            // stale context from propagating, as the generic path would.
-            fifo.clear_trace_tag();
         }
     }
 
@@ -1606,30 +1592,10 @@ impl Runtime {
         let accepted = self.open_tags.contains(&tag);
         let from_name = self.pes[from].kind().name();
         let mut keep = false;
-        for (k, &base) in stall_base
-            .iter()
-            .enumerate()
-            .take(self.route_table[from].len())
-        {
-            let route = self.route_table[from][k];
-            let to = route.to.0;
-            if to >= self.pes.len() {
-                continue;
-            }
-            let stall_delta = self.totals[to].stall_cycles - base;
-            let costs = DeliveryCosts {
-                noc_ns: (total_bytes as f64 * self.ns_per_link_byte) as u64,
-                wait_ns: (stall_delta as f64 * self.ns_per_cycle[to]) as u64,
-                // Clock-domain crossing: one consumer-domain cycle of
-                // synchronizer latency when producer and consumer run at
-                // different anchor frequencies (§IV-D dual-clock FIFOs).
-                cross_ns: if self.ns_per_cycle[from] != self.ns_per_cycle[to] {
-                    self.ns_per_cycle[to] as u64
-                } else {
-                    0
-                },
-                service_ns: ((n * self.cycles_per_token[to]) as f64 * self.ns_per_cycle[to]) as u64,
-            };
+        for (k, &base) in stall_base.iter().enumerate() {
+            let to = self.route_table[from][k].to.0;
+            let wait = self.totals[to].stall_cycles - base;
+            let costs = self.price(Some(from), to, n, total_bytes, wait);
             if accepted {
                 self.trace_buf.push(TraceEvent::Delivery {
                     tag,
@@ -1847,7 +1813,7 @@ mod tests {
     }
 
     /// Telemetry attachment must not perturb the simulation, and the
-    /// batched fast-path counter updates must equal the fabric's own
+    /// per-burst counter updates must equal the fabric's own
     /// accounting: slot totals, radio stream, and fabric counters are
     /// identical with and without a recorder, and the recorder's link,
     /// frame, and latency totals reconcile with the runtime's.

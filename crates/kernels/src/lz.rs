@@ -138,20 +138,27 @@ impl LzMatcher {
         }
         // head[h]: most recent position with hash h (+1; 0 = none).
         let mut head = vec![0u32; Self::HASH_ENTRIES];
-        // chain[pos % history]: previous position with the same hash (+1).
+        // chain[pos & (history - 1)]: previous position with the same hash
+        // (+1).
         let mut chain = vec![0u32; self.history];
         let mut pos = 0usize;
+        // A lookahead that won the lazy check is exactly the search the
+        // next position would run: nothing is inserted in between.
+        let mut lookahead = None;
         while pos < n {
-            let (best_len, best_dist) = self.find_match(input, pos, &head, &chain);
+            let (best_len, best_dist) = lookahead
+                .take()
+                .unwrap_or_else(|| self.find_match(input, pos, &head, &chain));
             if best_len >= self.min_match {
                 // Lazy check: would starting one byte later find a longer
                 // match?
                 if pos + 1 < n {
                     self.insert(input, pos, &mut head, &mut chain);
-                    let (next_len, _) = self.find_match(input, pos + 1, &head, &chain);
-                    if next_len > best_len {
+                    let next = self.find_match(input, pos + 1, &head, &chain);
+                    if next.0 > best_len {
                         ops.push(LzOp::Literal(input[pos]));
                         pos += 1;
+                        lookahead = Some(next);
                         continue;
                     }
                     // Committed: cover the match (pos already inserted).
@@ -181,29 +188,34 @@ impl LzMatcher {
         ops
     }
 
-    /// Walks the hash chain at `pos` for the longest in-window match.
+    /// Walks the hash chain at `pos` for the longest in-window match: the
+    /// first candidate in chain order reaching the greatest length. Only a
+    /// length of at least `min_match` is meaningful to the parser, so the
+    /// search starts there; a shorter best comes back as `min_match - 1`.
     fn find_match(&self, input: &[u8], pos: usize, head: &[u32], chain: &[u32]) -> (usize, usize) {
         let n = input.len();
-        let mut best_len = 0usize;
+        let mut best_len = self.min_match - 1;
         let mut best_dist = 0usize;
         if pos + MIN_MATCH <= n {
+            let max = (n - pos).min(MAX_MATCH);
             let h = Self::hash(&input[pos..]);
             let mut candidate = head[h] as usize;
             let mut depth = 0;
-            while candidate > 0 && depth < self.max_chain {
+            while candidate > 0 && depth < self.max_chain && best_len < max {
                 let cand = candidate - 1;
                 if cand >= pos || pos - cand > self.history {
                     break;
                 }
-                let len = Self::match_len(input, cand, pos);
-                if len > best_len {
-                    best_len = len;
-                    best_dist = pos - cand;
-                    if len >= MAX_MATCH {
-                        break;
+                // A candidate can only beat `best_len` if it also matches
+                // the byte at `best_len`: one compare rejects most.
+                if input[cand + best_len] == input[pos + best_len] {
+                    let len = Self::match_len(input, cand, pos, max);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - cand;
                     }
                 }
-                candidate = chain[cand % self.history] as usize;
+                candidate = chain[cand & (self.history - 1)] as usize;
                 depth += 1;
             }
         }
@@ -213,15 +225,25 @@ impl LzMatcher {
     fn insert(&self, input: &[u8], pos: usize, head: &mut [u32], chain: &mut [u32]) {
         if pos + MIN_MATCH <= input.len() {
             let h = Self::hash(&input[pos..]);
-            chain[pos % self.history] = head[h];
+            chain[pos & (self.history - 1)] = head[h];
             head[h] = (pos + 1) as u32;
         }
     }
 
-    fn match_len(input: &[u8], cand: usize, pos: usize) -> usize {
-        let max = (input.len() - pos).min(MAX_MATCH);
+    /// Length of the common run at `cand` and `pos`, up to `max`, compared
+    /// eight bytes at a time. Overlapping matches (dist < len) are legal:
+    /// both runs read the input itself.
+    fn match_len(input: &[u8], cand: usize, pos: usize, max: usize) -> usize {
+        let word =
+            |at: usize| u64::from_le_bytes(input[at..at + 8].try_into().expect("eight-byte slice"));
         let mut len = 0;
-        // Overlapping matches (dist < len) are legal: compare through `pos`.
+        while len + 8 <= max {
+            let diff = word(cand + len) ^ word(pos + len);
+            if diff != 0 {
+                return len + (diff.trailing_zeros() / 8) as usize;
+            }
+            len += 8;
+        }
         while len < max && input[cand + len] == input[pos + len] {
             len += 1;
         }

@@ -273,23 +273,14 @@ impl Fabric {
 
     /// Records one SEND-ACK transfer of `token` from `from` to `to` over
     /// the 8-bit bus, accounting both fabric totals and the per-link
-    /// traffic matrix. O(1): the `(from, to)` pair indexes a dense matrix
-    /// rather than scanning the link table (this runs once per token per
-    /// route on the streaming hot path).
+    /// traffic matrix.
     pub fn record_transfer(&mut self, from: NodeId, to: NodeId, token: &Token) {
-        self.record_transfer_bytes(from, to, token.wire_bytes() as u64);
+        self.record_transfers(from, to, 1, token.wire_bytes() as u64);
     }
 
-    /// [`Fabric::record_transfer`] with the payload size already computed —
-    /// lets the runtime charge one `wire_bytes` evaluation per token across
-    /// every counter it feeds.
-    pub fn record_transfer_bytes(&mut self, from: NodeId, to: NodeId, bytes: u64) {
-        self.record_transfers(from, to, 1, bytes);
-    }
-
-    /// Batched form of [`Fabric::record_transfer_bytes`]: charges `tokens`
-    /// transfers totalling `bytes` to one link in a single matrix lookup.
-    /// The runtime uses this to account a whole drained burst at once.
+    /// Charges `tokens` transfers totalling `bytes` to one link. O(1): the
+    /// `(from, to)` pair indexes a dense matrix rather than scanning the
+    /// link table. The runtime calls this once per route per drained burst.
     pub fn record_transfers(&mut self, from: NodeId, to: NodeId, tokens: u64, bytes: u64) {
         self.transfers += tokens;
         self.bus_bytes += bytes;

@@ -3,6 +3,7 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
+use std::collections::VecDeque;
 
 /// Identity of a PE type — the key into the power model's Table IV anchors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,13 +168,32 @@ pub trait ProcessingElement: Send {
     /// Drains one output token, if any.
     fn pull(&mut self) -> Option<Token>;
 
+    /// Pushes a burst of tokens into `port`, taking them from the front of
+    /// `tokens`.
+    ///
+    /// Semantically identical to calling [`ProcessingElement::push`] per
+    /// token; the default does exactly that. Being a provided method, it
+    /// is monomorphised per PE, so the runtime pays one virtual call per
+    /// burst. On error the failing token is dropped and the tokens after
+    /// it stay in `tokens`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`PeError`] a push raises.
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<(), PeError> {
+        while let Some(token) = tokens.pop_front() {
+            self.push(port, token)?;
+        }
+        Ok(())
+    }
+
     /// Moves every queued output token into `into`, preserving order.
     ///
     /// Semantically identical to `while let Some(t) = self.pull()`, but a
     /// FIFO-backed PE hands over its whole buffer in O(1) (see
-    /// [`Fifo::drain_into`]), so the streaming runtime pays one virtual
-    /// call per burst instead of one per token.
-    fn drain_output(&mut self, into: &mut std::collections::VecDeque<Token>) {
+    /// [`Fifo::drain_into`]), so the streaming runtime drains a burst with
+    /// one virtual call.
+    fn drain_output(&mut self, into: &mut VecDeque<Token>) {
         match self.output_fifo_mut() {
             Some(f) => f.drain_into(into),
             None => {
@@ -225,9 +245,9 @@ pub trait ProcessingElement: Send {
     /// Pushes a contiguous run of samples into `port` at once.
     ///
     /// Semantically identical to pushing `Token::Sample` per element; the
-    /// default does exactly that. Batch-aware PEs (FFT, XCOR, BBF, Hjorth)
-    /// override it to run their structure-of-arrays kernels over the slice
-    /// — same arithmetic, same output order, one virtual call.
+    /// default does exactly that, in one virtual call. Batch-aware PEs
+    /// (FFT, XCOR, BBF, Hjorth) override it to run their structure-of-arrays
+    /// kernels over the slice — same arithmetic, same output order.
     ///
     /// # Errors
     ///

@@ -31,7 +31,7 @@
 
 use crate::sink::{Event, EventKind, TelemetrySink};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Identifier of one traced frame's causal tree. Non-zero; doubles as the
 /// compact context stamped on PE output FIFOs (`0` means untraced).
@@ -388,7 +388,10 @@ pub struct Tracer {
     inner: Mutex<TracerInner>,
     sampled_total: AtomicU64,
     dropped_spans_total: AtomicU64,
-    sink: Mutex<Option<Arc<dyn TelemetrySink>>>,
+    /// Held weakly: a health monitor used as the sink holds this tracer
+    /// for its post-mortems, and strong links both ways would keep both
+    /// alive after their device is dropped.
+    sink: Mutex<Option<Weak<dyn TelemetrySink>>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -445,9 +448,15 @@ impl Tracer {
     }
 
     /// Streams completed traces' spans into `sink` as [`EventKind::Span`]
-    /// events (timestamped at the trace's root frame).
+    /// events (timestamped at the trace's root frame) for as long as
+    /// something else keeps `sink` alive.
     pub fn set_sink(&self, sink: Arc<dyn TelemetrySink>) {
-        *self.sink.lock().unwrap() = Some(sink);
+        *self.sink.lock().unwrap() = Some(Arc::downgrade(&sink));
+    }
+
+    /// The span sink, if one is set and still alive.
+    fn sink(&self) -> Option<Arc<dyn TelemetrySink>> {
+        self.sink.lock().unwrap().as_ref().and_then(Weak::upgrade)
     }
 
     /// Called by the runtime at the top of every frame. Returns the trace
@@ -527,7 +536,7 @@ impl Tracer {
             spans: build.spans,
             dropped_spans: build.dropped,
         };
-        if let Some(sink) = self.sink.lock().unwrap().clone() {
+        if let Some(sink) = self.sink() {
             if sink.enabled() {
                 for span in &record.spans {
                     sink.event(Event {
@@ -880,7 +889,7 @@ impl Tracer {
             }
             let frame = record.root_frame;
             drop(inner);
-            if let Some(sink) = self.sink.lock().unwrap().clone() {
+            if let Some(sink) = self.sink() {
                 if sink.enabled() {
                     sink.event(Event {
                         frame,

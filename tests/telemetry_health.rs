@@ -12,7 +12,7 @@ use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::{
     expose, json, summary, AlertKind, AlertPolicy, Counter, Event, EventKind, HealthConfig,
-    HealthMonitor, LogHistogram, Recorder, Scope, Severity, TelemetrySink,
+    HealthMonitor, LogHistogram, Recorder, Scope, Severity, TelemetrySink, Tracer,
 };
 
 /// The seizure closed-loop scenario: an SVM trained on labeled recordings
@@ -104,6 +104,42 @@ fn lowered_budget_raises_power_alert_with_postmortem() {
     assert!(pipeline.latency.count > 0);
     assert!(pipeline.latency.p50 > 0);
     assert!(pipeline.latency.p99 >= pipeline.latency.p50);
+}
+
+/// Dropping an instrumented device frees its instruments. The monitor
+/// keeps the tracer for post-mortems and the tracer streams spans into
+/// the monitor; only the first link is strong, so there is no cycle. A
+/// monitor that outlives its device still dumps the tracer's span trees.
+#[test]
+fn dropped_device_frees_monitor_and_tracer() {
+    let channels = 8;
+    let config = HaloConfig::small_test(channels);
+    let session = RecordingConfig::new(RegionProfile::arm())
+        .channels(channels)
+        .duration_ms(40)
+        .generate(5);
+    let monitor = monitor_with(0.001, AlertPolicy::Record);
+    let tracer = Arc::new(Tracer::new(1, 4));
+    let mut system = HaloSystem::new(Task::CompressLz4, config).unwrap();
+    system.attach_tracing(tracer.clone());
+    system.attach_health(monitor.clone());
+    system.process(&session).unwrap();
+    let weak_monitor = Arc::downgrade(&monitor);
+    let weak_tracer = Arc::downgrade(&tracer);
+    drop(system);
+    drop(tracer);
+
+    let dump = monitor
+        .postmortem()
+        .expect("critical alert must latch dump");
+    json::validate(&dump).expect("post-mortem must be valid JSON");
+    assert!(
+        dump.contains("\"span_trees\":[{"),
+        "span trees lost: {dump}"
+    );
+    drop(monitor);
+    assert!(weak_monitor.upgrade().is_none(), "monitor leaked");
+    assert!(weak_tracer.upgrade().is_none(), "tracer leaked");
 }
 
 /// Under a fail-fast policy the same overload aborts the run with a
