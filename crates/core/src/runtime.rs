@@ -10,7 +10,7 @@ use halo_power::DomainPowerModel;
 use halo_telemetry::health::RADIO_CEILING_BPS;
 use halo_telemetry::{
     Counter, CycleProfile, DeliveryCosts, Event, EventKind, NullSink, Phase, ProfileRow, Scope,
-    TelemetrySink, TraceEvent, Tracer,
+    SourceSpan, TelemetrySink, TraceEvent, Tracer,
 };
 
 /// Input-adapter applied where the ADC stream enters a PE.
@@ -428,11 +428,13 @@ pub struct Runtime {
     /// tracer lock per frame instead of one per delivery burst.
     trace_buf: Vec<TraceEvent>,
     /// Cached ids of the tracer's open traces, refreshed at every frame
-    /// boundary — span acceptance (sticky-tag keep/clear) is decided by
+    /// boundary and quiet chunk — span acceptance (sticky-tag keep/clear) is decided by
     /// membership here without taking the tracer lock per burst.
     open_tags: Vec<u64>,
     /// Reusable per-consumer stall baseline for traced bursts.
     trace_stall_scratch: Vec<u64>,
+    /// Reusable source-delivery spans of a traced frame or quiet chunk.
+    source_spans: Vec<SourceSpan>,
     /// Attached fault schedule, or `None` (the overwhelmingly common
     /// case) — disabled costs one `is_some()` branch per frame, proven
     /// ≤2% the same way as tracing (`fault_overhead` in
@@ -506,6 +508,7 @@ impl Runtime {
             trace_buf: Vec::new(),
             open_tags: Vec::new(),
             trace_stall_scratch: Vec::new(),
+            source_spans: Vec::new(),
             faults: None,
             profile: None,
         };
@@ -818,15 +821,6 @@ impl Runtime {
                     break;
                 }
             }
-            if quiet > 0 {
-                if let Some(t) = &self.tracer {
-                    // Batched frames never open traces or record spans —
-                    // only correct while the sampler has no hit in the
-                    // stretch and no open trace reaches its linger
-                    // boundary (expiry must run on the scalar path).
-                    quiet = quiet.min(t.quiet_frames(self.frame_idx));
-                }
-            }
             let sink_on = self.sink.enabled();
             if sink_on {
                 // Stop at the telemetry window boundary so `emit_window`
@@ -860,7 +854,8 @@ impl Runtime {
     /// path's accounting without per-frame dispatch or propagation. The
     /// caller guarantees quietness: no source PE emits a token for any of
     /// these frames, so output FIFOs stay empty (no stalls or bursts) and
-    /// the tracer neither samples a frame nor expires a trace here.
+    /// a trace opened on one of them records only its source deliveries —
+    /// one [`Tracer::advance_quiet`] call covers the whole chunk.
     fn push_quiet_chunk(
         &mut self,
         samples: &[i16],
@@ -875,6 +870,18 @@ impl Runtime {
             // Sources carry Token::Sample only, so the probe tap (which
             // records Token::Value) can never fire on this path.
             self.pes[src.to.0].push_samples(src.port, samples)?;
+        }
+        // Before the window flush below: an alert raised there escalates
+        // the sampler from the chunk's next frame on, as on the scalar path.
+        if let Some(tracer) = &self.tracer {
+            let mut spans = std::mem::take(&mut self.source_spans);
+            self.price_sources(frame_len, None, &mut spans);
+            let tag =
+                tracer.advance_quiet(self.frame_idx, chunk as u64, &spans, &mut self.open_tags);
+            self.source_spans = spans;
+            if tag != 0 {
+                self.tag_sources(tag);
+            }
         }
         if let Some(p) = &mut self.profile {
             // Quiet-skip attribution, batched: one add per source for the
@@ -1356,22 +1363,40 @@ impl Runtime {
         self.trace_buf.clear();
     }
 
-    /// Buffers one source-delivery span per ADC route for a traced frame:
-    /// the ingest cost of this frame's samples at each entry PE, with the
-    /// back-pressure observed during the source loop attributed to the
-    /// first route that feeds each destination. Traced frames only — the
-    /// per-frame Vec snapshots are off the untraced hot path.
+    /// Buffers one source-delivery span per ADC route for a traced frame.
+    /// `tag` was opened by this frame's `begin_frame_into`, so the trace
+    /// accepts them. Traced frames only — the per-frame Vec snapshots are
+    /// off the untraced hot path.
     fn trace_sources(&mut self, tag: u64, channels: usize, stall_base: &[u64]) {
-        if self.tracer.is_none() {
-            return;
-        }
-        // `tag` was handed out by this frame's `begin_frame_into`, so the
-        // trace is open by construction; the membership check mirrors the
-        // eager recorder's acceptance test anyway.
-        let accepted = self.open_tags.contains(&tag);
-        let mut seen: Vec<usize> = Vec::new();
-        for k in 0..self.sources.len() {
-            let src = self.sources[k];
+        let mut spans = std::mem::take(&mut self.source_spans);
+        self.price_sources(channels, Some(stall_base), &mut spans);
+        self.trace_buf
+            .extend(spans.iter().map(|s| TraceEvent::Delivery {
+                tag,
+                from: None,
+                to: s.to,
+                to_name: s.to_name,
+                tokens: s.tokens,
+                bytes: s.bytes,
+                costs: s.costs,
+            }));
+        self.source_spans = spans;
+        self.tag_sources(tag);
+    }
+
+    /// Prices one source-delivery span per ADC route into `out`: the
+    /// ingest cost of a frame's `channels` samples at each entry PE, with
+    /// the back-pressure counted since `stall_base` attributed to the
+    /// first route that feeds each destination. `None` prices a quiet
+    /// frame, which cannot stall.
+    fn price_sources(
+        &self,
+        channels: usize,
+        stall_base: Option<&[u64]>,
+        out: &mut Vec<SourceSpan>,
+    ) {
+        out.clear();
+        for (k, src) in self.sources.iter().enumerate() {
             let to = src.to.0;
             if to >= self.pes.len() {
                 continue;
@@ -1380,26 +1405,32 @@ impl Runtime {
                 Adapter::Direct => (channels as u64, 2 * channels as u64),
                 Adapter::SamplesToBytes => (2 * channels as u64, 2 * channels as u64),
             };
-            let wait = if seen.contains(&to) {
-                0
-            } else {
-                seen.push(to);
-                self.totals[to].stall_cycles - stall_base[to]
-            };
-            let costs = self.price(None, to, tokens, bytes, wait);
-            if accepted {
-                self.trace_buf.push(TraceEvent::Delivery {
-                    tag,
-                    from: None,
-                    to: to as u8,
-                    to_name: self.pes[to].kind().name(),
-                    tokens: tokens as u32,
-                    bytes,
-                    costs,
-                });
-                if let Some(fifo) = self.pes[to].output_fifo_mut() {
-                    fifo.set_trace_tag(tag);
+            let wait = match stall_base {
+                Some(base) if !self.sources[..k].iter().any(|s| s.to.0 == to) => {
+                    self.totals[to].stall_cycles - base[to]
                 }
+                _ => 0,
+            };
+            out.push(SourceSpan {
+                to: to as u8,
+                to_name: self.pes[to].kind().name(),
+                tokens: tokens as u32,
+                bytes,
+                costs: self.price(None, to, tokens, bytes, wait),
+            });
+        }
+    }
+
+    /// Sets `tag` on every source PE's output FIFO, so the frame's output
+    /// inherits its trace.
+    fn tag_sources(&mut self, tag: u64) {
+        for src in &self.sources {
+            if let Some(fifo) = self
+                .pes
+                .get_mut(src.to.0)
+                .and_then(|pe| pe.output_fifo_mut())
+            {
+                fifo.set_trace_tag(tag);
             }
         }
     }

@@ -138,14 +138,15 @@ pub fn collect(reports: &[SessionReport]) -> Vec<ExemplarTrace> {
     let mut out = Vec::new();
     for report in reports {
         for record in report.tracer.trees() {
-            let dominant = SpanTree::assemble(&record)
+            let (root_frame, end_to_end_ns) = (record.root_frame, record.end_to_end_ns());
+            let dominant = SpanTree::assemble(record)
                 .ok()
-                .and_then(|tree| tree.dominant().map(|(hop, f)| (hop.label.clone(), f)));
+                .and_then(|tree| tree.dominant().map(|(hop, f)| (hop.label, f)));
             out.push(ExemplarTrace {
                 session: report.spec.id,
                 pipeline: report.spec.task.label(),
-                root_frame: record.root_frame,
-                end_to_end_ns: record.end_to_end_ns(),
+                root_frame,
+                end_to_end_ns,
                 dominant,
             });
         }

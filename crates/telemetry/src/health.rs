@@ -611,8 +611,9 @@ impl HealthMonitor {
             const MAX_TREES: usize = 4;
             let trees = tracer.trees();
             let start = trees.len().saturating_sub(MAX_TREES);
-            let parts: Vec<String> = trees[start..]
-                .iter()
+            let parts: Vec<String> = trees
+                .into_iter()
+                .skip(start)
                 .filter_map(|t| SpanTree::assemble(t).ok())
                 .map(|t| t.to_json())
                 .collect();

@@ -98,8 +98,8 @@ pub use sink::{Counter, Event, EventKind, NullSink, Scope, Severity, TelemetrySi
 pub use slo::{BurnRateFiring, BurnRatePolicy, SloConfig, SloEngine, SloStatus};
 pub use span_tree::{CriticalPathSummary, HopCost, SpanTree, TreeError};
 pub use tracing::{
-    DeliveryCosts, SpanId, SpanKind, SpanRecord, TraceEvent, TraceId, TraceRecord, TraceSampler,
-    TraceStats, Tracer,
+    DeliveryCosts, SourceSpan, SpanId, SpanKind, SpanRecord, TraceEvent, TraceId, TraceRecord,
+    TraceSampler, TraceStats, Tracer,
 };
 pub use tsdb::{
     ContinuousConfig, ContinuousStatus, ContinuousTelemetry, Point, SeriesKind, Tsdb, TsdbConfig,

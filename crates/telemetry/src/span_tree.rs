@@ -75,13 +75,15 @@ impl HopCost {
 pub struct SpanTree {
     spans: Vec<SpanRecord>,
     children: Vec<Vec<usize>>,
+    /// Index of each span's parent (`None` for the root).
+    parents: Vec<Option<usize>>,
     root_frame: u64,
 }
 
 impl SpanTree {
-    /// Validates `record` and builds the tree.
-    pub fn assemble(record: &TraceRecord) -> Result<SpanTree, TreeError> {
-        let spans = record.spans.clone();
+    /// Validates `record` and builds the tree, keeping its spans.
+    pub fn assemble(record: TraceRecord) -> Result<SpanTree, TreeError> {
+        let spans = record.spans;
         if spans.is_empty() {
             return Err(TreeError::Empty);
         }
@@ -102,6 +104,7 @@ impl SpanTree {
             by_id[id] = Some(i);
         }
         let mut children = vec![Vec::new(); spans.len()];
+        let mut parents = vec![None; spans.len()];
         for (i, s) in spans.iter().enumerate() {
             if let Some(SpanId(pid)) = s.parent {
                 let Some(Some(pi)) = by_id.get(pid as usize) else {
@@ -115,11 +118,13 @@ impl SpanTree {
                     });
                 }
                 children[*pi].push(i);
+                parents[i] = Some(*pi);
             }
         }
         Ok(SpanTree {
             spans,
             children,
+            parents,
             root_frame: record.root_frame,
         })
     }
@@ -169,10 +174,8 @@ impl SpanTree {
             SpanKind::FifoWait | SpanKind::DomainCross => {
                 // Use the sibling NoC hop's edge when there is one so waits
                 // read as "FFT->XCOR fifo_wait"; fall back to the PE name.
-                let edge = s
-                    .parent
-                    .and_then(|p| {
-                        let pi = self.spans.iter().position(|c| c.id == p)?;
+                let edge = self.parents[span_index]
+                    .and_then(|pi| {
                         self.children[pi]
                             .iter()
                             .map(|&c| &self.spans[c])
@@ -298,7 +301,7 @@ impl CriticalPathSummary {
     pub fn from_traces(records: &[TraceRecord]) -> CriticalPathSummary {
         let mut out = CriticalPathSummary::default();
         for record in records {
-            let Ok(tree) = SpanTree::assemble(record) else {
+            let Ok(tree) = SpanTree::assemble(record.clone()) else {
                 out.malformed += 1;
                 continue;
             };
@@ -379,14 +382,14 @@ mod tests {
 
     #[test]
     fn assembles_and_validates() {
-        let tree = SpanTree::assemble(&sample_record()).unwrap();
+        let tree = SpanTree::assemble(sample_record()).unwrap();
         assert_eq!(tree.end_to_end_ns(), 50 + 250 + 700);
         assert!(!tree.children(0).is_empty());
     }
 
     #[test]
     fn attribution_tiles_the_root() {
-        let tree = SpanTree::assemble(&sample_record()).unwrap();
+        let tree = SpanTree::assemble(sample_record()).unwrap();
         let total: u64 = tree.attribution().iter().map(|h| h.ns).sum();
         assert_eq!(total, tree.end_to_end_ns());
         let hop = tree
@@ -405,7 +408,7 @@ mod tests {
 
     #[test]
     fn dominant_hop_is_radio_here() {
-        let tree = SpanTree::assemble(&sample_record()).unwrap();
+        let tree = SpanTree::assemble(sample_record()).unwrap();
         let (hop, frac) = tree.dominant().unwrap();
         assert_eq!(hop.kind, SpanKind::RadioFrame);
         assert!(frac > 0.5);
@@ -428,12 +431,12 @@ mod tests {
     fn validation_rejects_orphans_and_bad_nesting() {
         let mut r = sample_record();
         r.spans[2].parent = Some(SpanId(9999));
-        assert!(matches!(SpanTree::assemble(&r), Err(TreeError::Orphan(_))));
+        assert!(matches!(SpanTree::assemble(r), Err(TreeError::Orphan(_))));
 
         let mut r = sample_record();
         r.spans[1].end_ns = r.spans[0].end_ns + 1;
         assert!(matches!(
-            SpanTree::assemble(&r),
+            SpanTree::assemble(r),
             Err(TreeError::NotNested { .. })
         ));
 
@@ -443,12 +446,12 @@ mod tests {
             spans: Vec::new(),
             dropped_spans: 0,
         };
-        assert!(matches!(SpanTree::assemble(&r), Err(TreeError::Empty)));
+        assert!(matches!(SpanTree::assemble(r), Err(TreeError::Empty)));
     }
 
     #[test]
     fn tree_json_is_valid() {
-        let tree = SpanTree::assemble(&sample_record()).unwrap();
+        let tree = SpanTree::assemble(sample_record()).unwrap();
         crate::json::validate(&tree.to_json()).unwrap();
     }
 }

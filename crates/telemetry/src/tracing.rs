@@ -237,9 +237,8 @@ impl TraceSampler {
     /// forced credits are pending; `u64::MAX` when sampling is disabled
     /// and nothing is forced).
     ///
-    /// This is the sampler half of the runtime's quiet-chunk bound: a
-    /// block dispatcher may skip `begin_frame` for exactly this many
-    /// frames without changing which frames get traced.
+    /// [`Tracer::advance_quiet`] uses this to jump straight to the next
+    /// frame the sampler picks.
     pub fn quiet_run(&self, frame: u64) -> u64 {
         if self.forced.load(Ordering::Relaxed) > 0 {
             return 0;
@@ -328,6 +327,22 @@ pub enum TraceEvent {
         /// Modeled framing time.
         ns: u64,
     },
+}
+
+/// One ADC source delivery of a frame: the span a trace opened on that
+/// frame records for the source route (see [`Tracer::advance_quiet`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SourceSpan {
+    /// Source PE slot.
+    pub to: u8,
+    /// Source PE kind name.
+    pub to_name: &'static str,
+    /// Tokens the frame delivers to the slot.
+    pub tokens: u32,
+    /// Wire bytes the frame delivers to the slot.
+    pub bytes: u64,
+    /// Modeled delivery costs.
+    pub costs: DeliveryCosts,
 }
 
 /// Counters snapshot for exposition.
@@ -473,32 +488,97 @@ impl Tracer {
             return 0;
         }
         let mut inner = self.inner.lock().unwrap();
-        self.expire(&mut inner, frame);
-        let tag = if self.sampler.sample(frame) {
-            self.sampled_total.fetch_add(1, Ordering::Relaxed);
-            if inner.open.len() >= MAX_OPEN_TRACES {
-                let stale = inner.open.remove(0);
-                self.close(&mut inner, stale);
-            }
-            let id = inner.next_trace;
-            inner.next_trace += 1;
-            inner.open.push(TraceBuild {
-                id,
-                root_frame: frame,
-                clock_ns: 0,
-                spans: Vec::new(),
-                next_span: 1,
-                dropped: 0,
-            });
-            id
-        } else {
-            0
-        };
+        let tag = self.begin_locked(&mut inner, frame);
         if let Some(open) = open_out {
             open.clear();
             open.extend(inner.open.iter().map(|t| t.id));
         }
         tag
+    }
+
+    /// One non-idle frame boundary: expires lingering traces, then opens a
+    /// trace if the sampler picks `frame` (evicting the oldest open trace
+    /// at the cap). Returns the new trace's tag, or 0.
+    fn begin_locked(&self, inner: &mut TracerInner, frame: u64) -> u64 {
+        self.expire(inner, frame);
+        if !self.sampler.sample(frame) {
+            return 0;
+        }
+        self.sampled_total.fetch_add(1, Ordering::Relaxed);
+        if inner.open.len() >= MAX_OPEN_TRACES {
+            let stale = inner.open.remove(0);
+            self.close(inner, stale);
+        }
+        let id = inner.next_trace;
+        inner.next_trace += 1;
+        inner.open.push(TraceBuild {
+            id,
+            root_frame: frame,
+            clock_ns: 0,
+            spans: Vec::new(),
+            next_span: 1,
+            dropped: 0,
+        });
+        id
+    }
+
+    /// Advances over `frames` quiet frames starting at `first` under one
+    /// lock, doing exactly what [`Tracer::begin_frame_into`] on each of
+    /// them would, in frame order: traces expire at their linger frame,
+    /// sampler hits and forced credits open traces (evicting the oldest
+    /// at the cap), and `open` is refreshed unless the sampler is idle.
+    ///
+    /// A quiet frame emits nothing downstream, so its only spans are its
+    /// source deliveries: every trace opened here records `sources`, as
+    /// the runtime's per-frame path would have. Returns the tag of the
+    /// last trace opened (0 if none), which the caller sets on the source
+    /// PEs' output FIFOs. Only the frames where something happens are
+    /// visited, so a run costs one lock plus a few compares per sampled or
+    /// expiring frame.
+    pub fn advance_quiet(
+        &self,
+        first: u64,
+        frames: u64,
+        sources: &[SourceSpan],
+        open: &mut Vec<u64>,
+    ) -> u64 {
+        if self.sampler.idle() {
+            return 0;
+        }
+        let end = first.saturating_add(frames);
+        let mut inner = self.inner.lock().expect("a tracer call panicked");
+        let mut last = 0;
+        let mut frame = first;
+        // Forced credits only run out here, so once the sampler turns idle
+        // every later frame of the run is an early-exit no-op.
+        while !self.sampler.idle() {
+            let hit = frame.saturating_add(self.sampler.quiet_run(frame));
+            // An idle stretch may have left a trace past its linger frame:
+            // it expires at the first non-idle frame, this one.
+            let expiry = inner
+                .open
+                .iter()
+                .map(|t| t.root_frame.saturating_add(self.linger_frames).max(frame))
+                .min()
+                .unwrap_or(u64::MAX);
+            frame = hit.min(expiry);
+            if frame >= end {
+                break;
+            }
+            let tag = self.begin_locked(&mut inner, frame);
+            if tag != 0 {
+                for s in sources {
+                    self.delivery_locked(
+                        &mut inner, tag, None, s.to, s.to_name, s.tokens, s.bytes, s.costs,
+                    );
+                }
+                last = tag;
+            }
+            frame += 1;
+        }
+        open.clear();
+        open.extend(inner.open.iter().map(|t| t.id));
+        last
     }
 
     fn expire(&self, inner: &mut TracerInner, frame: u64) {
@@ -799,32 +879,6 @@ impl Tracer {
         self.begin_frame_impl(frame, Some(open))
     }
 
-    /// Upper bound on consecutive frames starting at `frame` for which
-    /// skipping [`Tracer::begin_frame`] is unobservable: none of them
-    /// would be sampled, and no open trace crosses its linger expiry (so
-    /// closings still happen on the exact frame the per-frame path would
-    /// close them).
-    ///
-    /// Returns 0 when `frame` itself needs the full path. `u64::MAX` when
-    /// the sampler is idle — idle `begin_frame` is an early-exit no-op, so
-    /// skipping it is always safe.
-    pub fn quiet_frames(&self, frame: u64) -> u64 {
-        if self.sampler.idle() {
-            return u64::MAX;
-        }
-        let sampler_quiet = self.sampler.quiet_run(frame);
-        if sampler_quiet == 0 {
-            return 0;
-        }
-        let inner = self.inner.lock().unwrap();
-        let linger = self.linger_frames;
-        inner
-            .open
-            .iter()
-            .map(|t| t.root_frame.saturating_add(linger).saturating_sub(frame))
-            .fold(sampler_quiet, u64::min)
-    }
-
     /// Attributes a closed-loop stimulation command to the most recent
     /// trace sampled at or before `detect_frame`. Open traces get a
     /// [`SpanKind::StimPulse`] span appended on their clock; already-closed
@@ -1106,27 +1160,6 @@ mod tests {
             tracer.trees()
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn tracer_quiet_frames_respects_open_linger() {
-        let tracer = Tracer::new(7, 64).with_linger_frames(8);
-        // With no open traces the bound is the sampler's quiet run.
-        let f = 0;
-        assert_eq!(tracer.quiet_frames(f), tracer.sampler().quiet_run(f));
-        // Open a trace; the expiry boundary now caps the quiet run.
-        tracer.sampler().force_next(1);
-        let mut open = Vec::new();
-        let tag = tracer.begin_frame_into(3, &mut open);
-        assert_ne!(tag, 0);
-        // Trace opened at 3, linger 8: expiry at frame 11.
-        assert!(tracer.quiet_frames(4) <= 7);
-        assert_eq!(tracer.quiet_frames(11), 0);
-        // Past expiry the next begin_frame closes it (whatever frame 11's
-        // own sampling decision is, the old tag must be gone).
-        let mut open2 = Vec::new();
-        let _ = tracer.begin_frame_into(11, &mut open2);
-        assert!(!open2.contains(&tag));
     }
 
     #[test]

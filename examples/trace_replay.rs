@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "every sampled frame must close into a tree"
     );
     for record in &trees {
-        let tree = SpanTree::assemble(record)?;
+        let tree = SpanTree::assemble(record.clone())?;
         let total = tree.end_to_end_ns();
         let attributed: u64 = tree.attribution().iter().map(|h| h.ns).sum();
         // Acceptance: attribution covers 100% (±1%) of end-to-end latency.

@@ -87,7 +87,7 @@ fn digest(task: Task, setup: Setup) -> u64 {
     let mut text = format!("{metrics:?}\n{:?}\n", sys.runtime().slot_totals());
     if let Some(t) = &tracer {
         for record in t.trees() {
-            match SpanTree::assemble(&record) {
+            match SpanTree::assemble(record) {
                 Ok(tree) => text.push_str(&tree.to_json()),
                 Err(e) => text.push_str(&format!("{e:?}")),
             }

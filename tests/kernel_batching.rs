@@ -362,9 +362,9 @@ fn pipelines_are_byte_identical_with_block_dispatch_on_and_off() {
 }
 
 /// Block dispatch must also leave causal traces untouched: with a 1-in-64
-/// sampler attached, the batched runtime must stop at every sampled frame
-/// and every linger boundary, yielding span trees identical to the scalar
-/// path's.
+/// sampler attached, each quiet chunk's one tracer call must sample,
+/// expire and record exactly what the per-frame path does, yielding span
+/// trees identical to the scalar path's.
 #[test]
 fn traced_pipelines_produce_identical_span_trees_either_way() {
     let channels = 8;

@@ -103,7 +103,7 @@ fn stock_pipelines_yield_well_formed_trees() {
         );
         assert_eq!(trees.len() as u64, stats.completed, "{task:?}");
         for record in &trees {
-            let tree = SpanTree::assemble(record)
+            let tree = SpanTree::assemble(record.clone())
                 .unwrap_or_else(|e| panic!("{task:?}: malformed tree: {e}"));
             let total = tree.end_to_end_ns();
             assert!(total > 0, "{task:?}: empty trace");
