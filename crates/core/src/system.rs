@@ -465,8 +465,7 @@ impl HaloSystem {
             let refractory = self.config.feature_window_frames() as u64;
             let warmup = (self.config.warmup_windows * self.config.feature_window_frames()) as u64;
             let mut last: Option<u64> = None;
-            let flags: Vec<(u64, bool)> = self.runtime.mcu_flags().to_vec();
-            for (frame, flag) in flags {
+            for &(frame, flag) in self.runtime.mcu_flags() {
                 if !flag || frame <= warmup {
                     continue;
                 }

@@ -8,7 +8,10 @@
 //!
 //! ECB mode is what the paper's PE implements, so that is what we model;
 //! its well-known pattern-leakage caveat is a property of the paper's
-//! design point, not of this reproduction.
+//! design point, not of this reproduction. Encryption runs T-table rounds,
+//! which index tables by secret state bytes as any S-box lookup does, so
+//! this host model is not constant-time; the hardware PE is what the
+//! paper deploys.
 
 /// AES S-box (FIPS-197 §5.1.1).
 const SBOX: [u8; 256] = [
@@ -33,6 +36,28 @@ const SBOX: [u8; 256] = [
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+/// Encryption T-table: `TE[x]` is the MixColumns column of `S(x)` in row 0,
+/// `(2·S(x), S(x), S(x), 3·S(x))` packed little-endian (row `r` in bits
+/// `8r..8r+8`). Row `r`'s table is this one rotated left by `8r` bits, so
+/// one round of SubBytes, ShiftRows and MixColumns is four lookups and
+/// XORs per column.
+const TE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        table[i] = u32::from_le_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    table
+};
+
+/// Multiplication by 2 in GF(2^8) with the AES polynomial 0x11b.
+const fn xtime(a: u8) -> u8 {
+    (a << 1) ^ if a & 0x80 != 0 { 0x1b } else { 0 }
+}
+
 /// Inverse S-box, generated from [`SBOX`] at construction time.
 fn inv_sbox() -> [u8; 256] {
     let mut inv = [0u8; 256];
@@ -49,14 +74,26 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
         if b & 1 != 0 {
             p ^= a;
         }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
+        a = xtime(a);
         b >>= 1;
     }
     p
+}
+
+/// Column `c` of a 16-byte column-major state (`state[r + 4c]`) as a
+/// little-endian word, row `r` in bits `8r..8r+8`.
+fn column(state: &[u8; 16], c: usize) -> u32 {
+    u32::from_le_bytes([
+        state[4 * c],
+        state[4 * c + 1],
+        state[4 * c + 2],
+        state[4 * c + 3],
+    ])
+}
+
+/// Byte `r` (row `r`) of a column word, as a table index.
+fn row(word: u32, r: usize) -> usize {
+    (word >> (8 * r)) as u8 as usize
 }
 
 /// AES-128 block cipher in ECB mode — the AES PE.
@@ -77,7 +114,6 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 pub struct Aes128 {
     round_keys: [[u8; 16]; 11],
     inv_sbox: [u8; 256],
-    bitsliced: BitslicedAes,
 }
 
 impl Aes128 {
@@ -107,7 +143,6 @@ impl Aes128 {
             }
         }
         Self {
-            bitsliced: BitslicedAes::new(&round_keys),
             round_keys,
             inv_sbox: inv_sbox(),
         }
@@ -119,49 +154,29 @@ impl Aes128 {
         }
     }
 
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for s in state.iter_mut() {
-            *s = SBOX[*s as usize];
-        }
-    }
-
-    fn shift_rows(state: &mut [u8; 16]) {
-        // State is column-major: state[r + 4c]. Row r rotates left by r.
-        let copy = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = copy[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
-    }
-
     /// Encrypts one 16-byte block in place.
+    ///
+    /// The state is held as four column words. ShiftRows moves row `r` of
+    /// output column `c` from input column `c + r (mod 4)`, so each round
+    /// gathers those bytes and sums their [`TE`] columns; the last round,
+    /// which has no MixColumns, takes the S-box bytes alone.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
+        let rk = &self.round_keys;
+        let mut s: [u32; 4] = core::array::from_fn(|c| column(block, c) ^ column(&rk[0], c));
+        for key in &rk[1..10] {
+            s = core::array::from_fn(|c| {
+                TE[row(s[c], 0)]
+                    ^ TE[row(s[(c + 1) & 3], 1)].rotate_left(8)
+                    ^ TE[row(s[(c + 2) & 3], 2)].rotate_left(16)
+                    ^ TE[row(s[(c + 3) & 3], 3)].rotate_left(24)
+                    ^ column(key, c)
+            });
         }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[10]);
+        for c in 0..4 {
+            let bytes: [u8; 4] = core::array::from_fn(|r| SBOX[row(s[(c + r) & 3], r)]);
+            let out = u32::from_le_bytes(bytes) ^ column(&rk[10], c);
+            block[4 * c..4 * c + 4].copy_from_slice(&out.to_le_bytes());
+        }
     }
 
     fn inv_sub_bytes(&self, state: &mut [u8; 16]) {
@@ -214,20 +229,9 @@ impl Aes128 {
 
     /// Encrypts a byte stream in ECB mode, zero-padding the final partial
     /// block. Output length is `data.len()` rounded up to 16.
-    ///
-    /// Full groups of four blocks are encrypted by the bit-sliced engine
-    /// ([`BitslicedAes`], 64 block-bits per `u64` instruction); ECB blocks
-    /// are independent, so the output is byte-identical to the scalar
-    /// per-block path that handles the tail.
     pub fn encrypt_ecb(&self, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len().div_ceil(16) * 16);
-        let mut groups = data.chunks_exact(64);
-        for group in &mut groups {
-            let mut four: [u8; 64] = group.try_into().expect("exact chunk");
-            self.bitsliced.encrypt_blocks4(&mut four);
-            out.extend_from_slice(&four);
-        }
-        for chunk in groups.remainder().chunks(16) {
+        for chunk in data.chunks(16) {
             let mut block = [0u8; 16];
             block[..chunk.len()].copy_from_slice(chunk);
             self.encrypt_block(&mut block);
@@ -258,269 +262,63 @@ impl Aes128 {
     }
 }
 
-/// Bit-sliced AES-128 encryption: four blocks per call, one bit-plane per
-/// `u64`.
-///
-/// The 64 state bytes of four ECB blocks are transposed into 8 bit-planes
-/// (`planes[b]` bit `p` = bit `b` of byte `p`, where `p = block*16 +
-/// r + 4c` in the scalar engine's column-major order). Every AES step then
-/// becomes wide boolean algebra over whole planes — 64 byte-lanes per
-/// instruction:
-///
-/// * **SubBytes** is computed, not looked up: the GF(2⁸) inversion as the
-///   power `x^254` via a square-and-multiply chain, followed by the
-///   FIPS-197 affine map. The GF multiply is the bilinear expansion over
-///   basis products `gmul(2^i, 2^j)` and squaring is the linear 8×8
-///   bit-matrix `gmul(2^i, 2^i)` — both tables derived from the same
-///   [`gmul`] the scalar path uses, so correctness reduces to the scalar
-///   reference (and is pinned by exhaustive tests against [`SBOX`]).
-/// * **ShiftRows**/**MixColumns** are byte-position permutations, i.e.
-///   masked shifts within each 16-bit block group (4-bit column group for
-///   MixColumns) applied to all planes.
-///
-/// No secret-indexed table lookups remain, which is the classic constant-
-/// time argument for bit-slicing; here the draw is throughput for the
-/// exfiltration stream.
-#[derive(Debug, Clone)]
-pub struct BitslicedAes {
-    /// Round keys bit-sliced with each 16-byte key replicated across the
-    /// four block lanes.
-    rk_planes: [[u64; 8]; 11],
-    /// `mul_tab[i][j] = gmul(2^i, 2^j)` — bilinear GF(2⁸) product basis.
-    mul_tab: [[u8; 8]; 8],
-    /// `sq_tab[i] = gmul(2^i, 2^i)` — the linear squaring matrix.
-    sq_tab: [u8; 8],
-}
-
-/// Replicates a 4-bit row-set mask across all sixteen 4-byte columns.
-const fn col_mask(rows: u8) -> u64 {
-    (rows as u64) * 0x1111_1111_1111_1111
-}
-
-/// Replicates a 16-bit in-block byte mask across the four block lanes.
-const fn block_mask(bytes: u16) -> u64 {
-    (bytes as u64) * 0x0001_0001_0001_0001
-}
-
-impl BitslicedAes {
-    /// Builds the bit-sliced engine from an expanded key schedule.
-    fn new(round_keys: &[[u8; 16]; 11]) -> Self {
-        let mut rk_planes = [[0u64; 8]; 11];
-        for (round, rk) in round_keys.iter().enumerate() {
-            let mut four = [0u8; 64];
-            for lane in 0..4 {
-                four[lane * 16..(lane + 1) * 16].copy_from_slice(rk);
-            }
-            rk_planes[round] = Self::slice_bytes(&four);
-        }
-        let mut mul_tab = [[0u8; 8]; 8];
-        let mut sq_tab = [0u8; 8];
-        for (i, (row, sq)) in mul_tab.iter_mut().zip(sq_tab.iter_mut()).enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = gmul(1 << i, 1 << j);
-            }
-            *sq = gmul(1 << i, 1 << i);
-        }
-        Self {
-            rk_planes,
-            mul_tab,
-            sq_tab,
-        }
-    }
-
-    /// Transposes 64 bytes into 8 bit-planes.
-    fn slice_bytes(bytes: &[u8; 64]) -> [u64; 8] {
-        let mut planes = [0u64; 8];
-        for (p, &byte) in bytes.iter().enumerate() {
-            for (b, plane) in planes.iter_mut().enumerate() {
-                *plane |= ((byte >> b & 1) as u64) << p;
-            }
-        }
-        planes
-    }
-
-    /// Transposes 8 bit-planes back into 64 bytes.
-    fn unslice_bytes(planes: &[u64; 8], out: &mut [u8; 64]) {
-        for (p, byte) in out.iter_mut().enumerate() {
-            let mut v = 0u8;
-            for (b, plane) in planes.iter().enumerate() {
-                v |= ((plane >> p & 1) as u8) << b;
-            }
-            *byte = v;
-        }
-    }
-
-    /// GF(2⁸) product of two bit-sliced values, expanded bilinearly over
-    /// the `2^i · 2^j` basis products.
-    fn gf_mul(&self, a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (&ai, row) in a.iter().zip(&self.mul_tab) {
-            for (&bj, &basis) in b.iter().zip(row) {
-                let term = ai & bj;
-                if term == 0 {
-                    continue;
-                }
-                for (k, plane) in out.iter_mut().enumerate() {
-                    if basis >> k & 1 == 1 {
-                        *plane ^= term;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// GF(2⁸) squaring — linear over GF(2), so a plain bit-matrix apply.
-    fn gf_sq(&self, a: &[u64; 8]) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (&ai, &basis) in a.iter().zip(&self.sq_tab) {
-            for (k, plane) in out.iter_mut().enumerate() {
-                if basis >> k & 1 == 1 {
-                    *plane ^= ai;
-                }
-            }
-        }
-        out
-    }
-
-    /// GF(2⁸) inversion as `x^254` (with `0 → 0`, matching the S-box
-    /// convention) via an addition chain: 254 = (15·16) + 12 + 2.
-    fn gf_inv(&self, x: &[u64; 8]) -> [u64; 8] {
-        let x2 = self.gf_sq(x); // x^2
-        let x3 = self.gf_mul(&x2, x); // x^3
-        let x6 = self.gf_sq(&x3); // x^6
-        let x12 = self.gf_sq(&x6); // x^12
-        let x14 = self.gf_mul(&x12, &x2); // x^14
-        let x15 = self.gf_mul(&x12, &x3); // x^15
-        let mut x240 = x15; // x^15 → x^240 by four squarings
-        for _ in 0..4 {
-            x240 = self.gf_sq(&x240);
-        }
-        self.gf_mul(&x240, &x14) // x^254
-    }
-
-    /// Bit-sliced SubBytes: GF inversion then the FIPS-197 §5.1.1 affine
-    /// transform `b'ᵢ = bᵢ ⊕ b₍ᵢ₊₄₎ ⊕ b₍ᵢ₊₅₎ ⊕ b₍ᵢ₊₆₎ ⊕ b₍ᵢ₊₇₎ ⊕ cᵢ`
-    /// with `c = 0x63`.
-    fn sub_bytes(&self, planes: &mut [u64; 8]) {
-        let inv = self.gf_inv(planes);
-        for i in 0..8 {
-            let mut v =
-                inv[i] ^ inv[(i + 4) % 8] ^ inv[(i + 5) % 8] ^ inv[(i + 6) % 8] ^ inv[(i + 7) % 8];
-            if 0x63 >> i & 1 == 1 {
-                v = !v;
-            }
-            planes[i] = v;
-        }
-    }
-
-    /// Bit-sliced ShiftRows: row `r` rotates its columns left by `r`,
-    /// which in byte-position space is a two-mask shift within each
-    /// 16-bit block group (byte `r + 4c` ← byte `r + 4((c+r) % 4)`).
-    fn shift_rows(planes: &mut [u64; 8]) {
-        // Per row r: the bytes of columns c >= r move down 4r positions;
-        // columns c < r wrap up by 16 - 4r.
-        let mut down_mask = [0u64; 4];
-        let mut up_mask = [0u64; 4];
-        for r in 1..4usize {
-            let mut down = 0u16;
-            let mut up = 0u16;
-            for c in 0..4usize {
-                let bit = 1u16 << (r + 4 * c);
-                if c >= r {
-                    down |= bit;
-                } else {
-                    up |= bit;
-                }
-            }
-            down_mask[r] = block_mask(down);
-            up_mask[r] = block_mask(up);
-        }
-        let row0 = block_mask(0x1111);
-        for plane in planes.iter_mut() {
-            let mut v = *plane & row0;
-            for r in 1..4 {
-                v |= (*plane & down_mask[r]) >> (4 * r);
-                v |= (*plane & up_mask[r]) << (16 - 4 * r);
-            }
-            *plane = v;
-        }
-    }
-
-    /// Rotates each 4-byte column's bytes so position `r` takes the byte
-    /// from position `(r + k) % 4` — the byte-gather MixColumns needs.
-    fn rot_col(plane: u64, k: usize) -> u64 {
-        debug_assert!((1..4).contains(&k));
-        // Input rows >= k land k positions lower; rows < k wrap upward.
-        let rows_ge: u8 = match k {
-            1 => 0b1110,
-            2 => 0b1100,
-            _ => 0b1000,
-        };
-        let ge = col_mask(rows_ge);
-        ((plane & ge) >> k) | ((plane & !ge & col_mask(0xf)) << (4 - k))
-    }
-
-    /// Bit-sliced xtime (multiply by 2 in GF(2⁸)): plane shift with the
-    /// 0x1b reduction folded into planes 0, 1, 3, 4.
-    fn xtime(planes: &[u64; 8]) -> [u64; 8] {
-        let hi = planes[7];
-        [
-            hi,
-            planes[0] ^ hi,
-            planes[1],
-            planes[2] ^ hi,
-            planes[3] ^ hi,
-            planes[4],
-            planes[5],
-            planes[6],
-        ]
-    }
-
-    /// Bit-sliced MixColumns: `new[r] = 2·col[r] ⊕ 3·col[r+1] ⊕ col[r+2]
-    /// ⊕ col[r+3]` (indices mod 4), assembled from column rotations and
-    /// two xtimes.
-    fn mix_columns(planes: &mut [u64; 8]) {
-        let a = *planes;
-        let mut b = [0u64; 8];
-        for (i, plane) in b.iter_mut().enumerate() {
-            *plane = Self::rot_col(a[i], 1);
-        }
-        let two_a = Self::xtime(&a);
-        let two_b = Self::xtime(&b);
-        for i in 0..8 {
-            planes[i] =
-                two_a[i] ^ two_b[i] ^ b[i] ^ Self::rot_col(a[i], 2) ^ Self::rot_col(a[i], 3);
-        }
-    }
-
-    fn add_round_key(planes: &mut [u64; 8], rk: &[u64; 8]) {
-        for (p, k) in planes.iter_mut().zip(rk) {
-            *p ^= k;
-        }
-    }
-
-    /// Encrypts four consecutive 16-byte ECB blocks in place. Each block
-    /// is byte-identical to [`Aes128::encrypt_block`] of that block.
-    pub fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
-        let mut planes = Self::slice_bytes(blocks);
-        Self::add_round_key(&mut planes, &self.rk_planes[0]);
-        for round in 1..10 {
-            self.sub_bytes(&mut planes);
-            Self::shift_rows(&mut planes);
-            Self::mix_columns(&mut planes);
-            Self::add_round_key(&mut planes, &self.rk_planes[round]);
-        }
-        self.sub_bytes(&mut planes);
-        Self::shift_rows(&mut planes);
-        Self::add_round_key(&mut planes, &self.rk_planes[10]);
-        Self::unslice_bytes(&planes, blocks);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halo_signal::SimRng;
+
+    // The byte-wise FIPS-197 §5.1 round functions: the reference the
+    // T-table rounds of `encrypt_block` are checked against.
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for s in state.iter_mut() {
+            *s = SBOX[*s as usize];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        // State is column-major: state[r + 4c]. Row r rotates left by r.
+        let copy = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[r + 4 * c] = copy[r + 4 * ((c + r) % 4)];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[4 * c],
+                state[4 * c + 1],
+                state[4 * c + 2],
+                state[4 * c + 3],
+            ];
+            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
+            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
+            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
+            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
+        }
+    }
+
+    fn reference_encrypt(aes: &Aes128, block: &mut [u8; 16]) {
+        Aes128::add_round_key(block, &aes.round_keys[0]);
+        for round in 1..10 {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            Aes128::add_round_key(block, &aes.round_keys[round]);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        Aes128::add_round_key(block, &aes.round_keys[10]);
+    }
+
+    fn random_block(rng: &mut SimRng) -> [u8; 16] {
+        let mut block = [0u8; 16];
+        rng.fill_bytes(&mut block);
+        block
+    }
 
     /// FIPS-197 Appendix B: the canonical AES-128 example.
     #[test]
@@ -606,136 +404,29 @@ mod tests {
         }
     }
 
-    fn test_engine() -> (Aes128, BitslicedAes) {
-        let key: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(0x11));
-        let aes = Aes128::new(key);
-        let bs = aes.bitsliced.clone();
-        (aes, bs)
-    }
-
-    /// Deterministic pseudo-random 64-byte state (four blocks).
-    fn pseudo_state(seed: u64) -> [u8; 64] {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        core::array::from_fn(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 32) as u8
-        })
-    }
-
     #[test]
-    fn bitsliced_transpose_round_trips() {
-        let bytes = pseudo_state(1);
-        let planes = BitslicedAes::slice_bytes(&bytes);
-        let mut back = [0u8; 64];
-        BitslicedAes::unslice_bytes(&planes, &mut back);
-        assert_eq!(bytes, back);
-    }
-
-    #[test]
-    fn bitsliced_sub_bytes_matches_sbox_for_all_inputs() {
-        let (_, bs) = test_engine();
-        // All 256 byte values across four 64-byte batches.
-        for batch in 0..4u16 {
-            let mut bytes: [u8; 64] = core::array::from_fn(|i| (batch * 64 + i as u16) as u8);
-            let want: [u8; 64] = core::array::from_fn(|i| SBOX[bytes[i] as usize]);
-            let mut planes = BitslicedAes::slice_bytes(&bytes);
-            bs.sub_bytes(&mut planes);
-            BitslicedAes::unslice_bytes(&planes, &mut bytes);
-            assert_eq!(bytes, want, "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn bitsliced_shift_rows_matches_scalar() {
-        for seed in 0..8 {
-            let mut bytes = pseudo_state(seed);
-            let mut want = bytes;
-            for block in want.chunks_exact_mut(16) {
-                Aes128::shift_rows(block.try_into().unwrap());
+    fn t_table_rounds_match_bytewise_reference() {
+        let mut rng = SimRng::new(0xae5);
+        for _ in 0..64 {
+            let aes = Aes128::new(random_block(&mut rng));
+            for _ in 0..16 {
+                let plain = random_block(&mut rng);
+                let mut want = plain;
+                reference_encrypt(&aes, &mut want);
+                let mut got = plain;
+                aes.encrypt_block(&mut got);
+                assert_eq!(got, want, "plaintext {plain:02x?}");
+                aes.decrypt_block(&mut got);
+                assert_eq!(got, plain, "round trip");
             }
-            let mut planes = BitslicedAes::slice_bytes(&bytes);
-            BitslicedAes::shift_rows(&mut planes);
-            BitslicedAes::unslice_bytes(&planes, &mut bytes);
-            assert_eq!(bytes, want, "seed {seed}");
         }
     }
 
     #[test]
-    fn bitsliced_mix_columns_matches_scalar() {
-        for seed in 0..8 {
-            let mut bytes = pseudo_state(seed);
-            let mut want = bytes;
-            for block in want.chunks_exact_mut(16) {
-                Aes128::mix_columns(block.try_into().unwrap());
-            }
-            let mut planes = BitslicedAes::slice_bytes(&bytes);
-            BitslicedAes::mix_columns(&mut planes);
-            BitslicedAes::unslice_bytes(&planes, &mut bytes);
-            assert_eq!(bytes, want, "seed {seed}");
+    fn t_table_is_sbox_times_mix_column() {
+        for x in 0..=255u8 {
+            let s = SBOX[x as usize];
+            assert_eq!(TE[x as usize].to_le_bytes(), [gmul(s, 2), s, s, gmul(s, 3)]);
         }
-    }
-
-    #[test]
-    fn bitsliced_encrypt_matches_scalar_blocks() {
-        let (aes, bs) = test_engine();
-        for seed in 0..16 {
-            let mut four = pseudo_state(seed);
-            let mut want = four;
-            for block in want.chunks_exact_mut(16) {
-                aes.encrypt_block(block.try_into().unwrap());
-            }
-            bs.encrypt_blocks4(&mut four);
-            assert_eq!(four, want, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn bitsliced_path_reproduces_fips_vector() {
-        // FIPS-197 Appendix B plaintext/key, replicated across all four
-        // lanes so the 64-byte bit-sliced path carries the whole call.
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let plain = [
-            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-            0x07, 0x34,
-        ];
-        let want = [
-            0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-            0x0b, 0x32,
-        ];
-        let aes = Aes128::new(key);
-        let mut data = Vec::new();
-        for _ in 0..4 {
-            data.extend_from_slice(&plain);
-        }
-        let out = aes.encrypt_ecb(&data);
-        assert_eq!(out.len(), 64);
-        for block in out.chunks_exact(16) {
-            assert_eq!(block, want);
-        }
-    }
-
-    #[test]
-    fn ecb_mixed_group_and_remainder_matches_blockwise_scalar() {
-        // 7 blocks: one bit-sliced group of four plus a 3-block scalar
-        // remainder; must equal per-block scalar encryption exactly.
-        let (aes, _) = test_engine();
-        let mut data = Vec::new();
-        for seed in 0..2 {
-            data.extend_from_slice(&pseudo_state(seed));
-        }
-        data.truncate(7 * 16);
-        let got = aes.encrypt_ecb(&data);
-        let mut want = Vec::new();
-        for block in data.chunks_exact(16) {
-            let mut b: [u8; 16] = block.try_into().unwrap();
-            aes.encrypt_block(&mut b);
-            want.extend_from_slice(&b);
-        }
-        assert_eq!(got, want);
     }
 }

@@ -57,7 +57,7 @@ pub mod svm;
 pub mod thr;
 pub mod xcor;
 
-pub use aes::{Aes128, BitslicedAes};
+pub use aes::Aes128;
 pub use bbf::{Bbf, BbfDesign, BbfFloat};
 pub use block::ChannelBlock;
 pub use bwt::BwtmaCodec;

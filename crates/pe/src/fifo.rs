@@ -56,10 +56,10 @@ impl Fifo {
         self.queue.front_mut()
     }
 
-    /// Moves every queued token into `out`, preserving order. When `out`
-    /// is empty this is an O(1) buffer swap (`VecDeque::append`), so the
-    /// runtime drains a whole burst wholesale instead of popping token by
-    /// token. The high-water statistic is unaffected.
+    /// Moves every queued token into `out`, preserving order, in one bulk
+    /// copy (`VecDeque::append`), so the runtime drains a whole burst
+    /// without popping token by token. Both queues keep their capacity.
+    /// The high-water statistic is unaffected.
     pub fn drain_into(&mut self, out: &mut VecDeque<Token>) {
         out.append(&mut self.queue);
     }

@@ -36,13 +36,25 @@ impl AesPe {
         self
     }
 
+    /// Encrypts the staged block, zero-padded to 16 bytes.
     fn emit_block(&mut self) {
         let mut buf = [0u8; 16];
         buf[..self.block.len()].copy_from_slice(&self.block);
         self.block.clear();
-        self.aes.encrypt_block(&mut buf);
-        for b in buf {
+        self.emit(buf);
+    }
+
+    fn emit(&mut self, mut block: [u8; 16]) {
+        self.aes.encrypt_block(&mut block);
+        for b in block {
             self.out.push(Token::Byte(b));
+        }
+    }
+
+    fn stage_sample(&mut self, s: i16) {
+        self.block.extend_from_slice(&s.to_le_bytes());
+        if self.block.len() >= 16 {
+            self.emit_block();
         }
     }
 }
@@ -73,12 +85,7 @@ impl ProcessingElement for AesPe {
                     self.emit_block();
                 }
             }
-            Token::Sample(s) => {
-                self.block.extend_from_slice(&s.to_le_bytes());
-                if self.block.len() >= 16 {
-                    self.emit_block();
-                }
-            }
+            Token::Sample(s) => self.stage_sample(s),
             Token::BlockEnd { .. } => {
                 if !self.block.is_empty() {
                     self.emit_block();
@@ -92,6 +99,35 @@ impl ProcessingElement for AesPe {
 
     fn pull(&mut self) -> Option<Token> {
         self.out.pop()
+    }
+
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
+        let Some(&first) = samples.first() else {
+            return Ok(());
+        };
+        self.check_port(port, &Token::Sample(first))?;
+        // Top up a staged partial block, then encrypt whole blocks of
+        // eight samples straight from the slice and stage the tail.
+        let mut rest = samples;
+        while !self.block.is_empty() {
+            let Some((&s, tail)) = rest.split_first() else {
+                break;
+            };
+            self.stage_sample(s);
+            rest = tail;
+        }
+        let mut blocks = rest.chunks_exact(8);
+        for chunk in &mut blocks {
+            let mut block = [0u8; 16];
+            for (bytes, s) in block.chunks_exact_mut(2).zip(chunk) {
+                bytes.copy_from_slice(&s.to_le_bytes());
+            }
+            self.emit(block);
+        }
+        for &s in blocks.remainder() {
+            self.block.extend_from_slice(&s.to_le_bytes());
+        }
+        Ok(())
     }
 
     fn flush(&mut self) {

@@ -136,6 +136,28 @@ impl ProcessingElement for GatePe {
         self.out.pop()
     }
 
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
+        let Some(&first) = samples.first() else {
+            return Ok(());
+        };
+        self.check_port(port, &Token::Sample(first))?;
+        // Pairing consumes data in arrival order, so queueing the whole
+        // slice before one pairing pass emits what per-token pushes would.
+        self.data.extend(samples.iter().map(|&s| Token::Sample(s)));
+        self.drain_pairs();
+        Ok(())
+    }
+
+    /// Data alone cannot pass the gate: with no control bit queued and no
+    /// open budget, every sample is queued or dropped, however many come.
+    fn quiet_frames(&self, _frame_samples: usize) -> u64 {
+        if self.control.is_empty() && (self.budget == 0 || !self.budget_open) {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
     fn flush(&mut self) {
         self.data.clear();
         self.control.clear();

@@ -52,6 +52,14 @@ impl InterleaverPe {
         self.depth
     }
 
+    fn push_sample(&mut self, s: i16) {
+        self.buffers[self.next_channel].push(s);
+        self.next_channel = (self.next_channel + 1) % self.channels;
+        if self.next_channel == 0 && self.buffers[self.channels - 1].len() == self.depth {
+            self.emit_runs();
+        }
+    }
+
     fn emit_runs(&mut self) {
         for buf in &mut self.buffers {
             for s in buf.drain(..) {
@@ -77,13 +85,7 @@ impl ProcessingElement for InterleaverPe {
     fn push(&mut self, port: usize, token: Token) -> Result<(), PeError> {
         self.check_port(port, &token)?;
         match token {
-            Token::Sample(s) => {
-                self.buffers[self.next_channel].push(s);
-                self.next_channel = (self.next_channel + 1) % self.channels;
-                if self.next_channel == 0 && self.buffers[self.channels - 1].len() == self.depth {
-                    self.emit_runs();
-                }
-            }
+            Token::Sample(s) => self.push_sample(s),
             Token::BlockEnd { .. } => {
                 self.emit_runs();
                 self.next_channel = 0;
@@ -96,6 +98,48 @@ impl ProcessingElement for InterleaverPe {
 
     fn pull(&mut self) -> Option<Token> {
         self.out.pop()
+    }
+
+    fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
+        let Some(&first) = samples.first() else {
+            return Ok(());
+        };
+        self.check_port(port, &Token::Sample(first))?;
+        let mut rest = samples;
+        while self.next_channel != 0 {
+            let Some((&s, tail)) = rest.split_first() else {
+                break;
+            };
+            self.push_sample(s);
+            rest = tail;
+        }
+        // At a frame boundary every buffer holds the same number of frames:
+        // transpose whole frames up to the one that completes the runs.
+        while rest.len() >= self.channels {
+            let frames = (rest.len() / self.channels).min(self.depth - self.buffers[0].len());
+            let (now, tail) = rest.split_at(frames * self.channels);
+            for (c, buf) in self.buffers.iter_mut().enumerate() {
+                buf.extend(now[c..].iter().step_by(self.channels));
+            }
+            if self.buffers[0].len() == self.depth {
+                self.emit_runs();
+            }
+            rest = tail;
+        }
+        for &s in rest {
+            self.push_sample(s);
+        }
+        Ok(())
+    }
+
+    /// At a frame boundary, whole frames emit nothing until the one that
+    /// fills every run to `depth`; mid-frame or for other frame shapes,
+    /// nothing is promised.
+    fn quiet_frames(&self, frame_samples: usize) -> u64 {
+        if frame_samples != self.channels || self.next_channel != 0 {
+            return 0;
+        }
+        (self.depth - 1 - self.buffers[0].len()) as u64
     }
 
     fn flush(&mut self) {
