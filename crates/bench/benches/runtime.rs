@@ -364,52 +364,6 @@ fn fault_overhead(
     }
 }
 
-struct ProfileOverheadResult {
-    task: Task,
-    off_s: f64,
-    armed_s: f64,
-}
-
-/// A/B the always-on cycle profiler, interleaved round-robin like
-/// [`health_overhead`] so host drift hits both variants equally. "Off"
-/// is the shipped default — the profile hook is a single `Option` check
-/// per frame. "Armed" attaches the profiler, so every frame pays the
-/// ingest attribution and every quiet chunk one batched charge — the
-/// always-on cost, which must stay within the ≤2% envelope.
-fn profile_overhead(
-    task: Task,
-    channels: usize,
-    rec: &Recording,
-    rounds: usize,
-) -> ProfileOverheadResult {
-    let config = HaloConfig::small_test(channels);
-    let replay = |armed: bool| {
-        let mut sys = HaloSystem::new(task, config.clone()).unwrap();
-        if armed {
-            sys.attach_profile();
-        }
-        let t = Instant::now();
-        std::hint::black_box(sys.process(std::hint::black_box(rec)).unwrap());
-        t.elapsed()
-    };
-    let mut times: [Vec<Duration>; 2] = Default::default();
-    replay(false);
-    replay(true);
-    for _ in 0..rounds {
-        times[0].push(replay(false));
-        times[1].push(replay(true));
-    }
-    let median = |v: &mut Vec<Duration>| {
-        v.sort_unstable();
-        v[v.len() / 2].as_secs_f64().max(1e-12)
-    };
-    ProfileOverheadResult {
-        task,
-        off_s: median(&mut times[0]),
-        armed_s: median(&mut times[1]),
-    }
-}
-
 /// One profiled replay of `task`. The profile is deterministic — pure
 /// cost-model cycle attribution, no wall clock — so a single replay is
 /// exact and byte-stable across machines, which is what lets `--check`
@@ -726,30 +680,6 @@ fn main() {
         fault_overheads.push(o);
     }
 
-    // Cycle-profiler A/B: the always-on profiler must stay within the
-    // ≤2% envelope across pipeline shapes — byte pipelines (per-frame
-    // ingest attribution dominates), the heaviest compressor (drain
-    // attribution), and the quiet-chunk feature pipeline (batched
-    // quiet-skip accounting).
-    let mut profile_overheads = Vec::new();
-    for task in [
-        Task::SpikeDetectNeo,
-        Task::CompressLz4,
-        Task::CompressLzma,
-        Task::SeizurePrediction,
-        Task::EncryptRaw,
-    ] {
-        let o = profile_overhead(task, channels, &rec, 101);
-        println!(
-            "profile/{:<16} off {:>8.3} ms  armed {:>8.3} ms ({:>+5.1}%)",
-            o.task.label(),
-            o.off_s * 1e3,
-            o.armed_s * 1e3,
-            (o.armed_s / o.off_s - 1.0) * 100.0,
-        );
-        profile_overheads.push(o);
-    }
-
     // Batched-dispatch A/B: quiet-chunk SoA dispatch vs the per-frame
     // scalar path on the two short feature pipelines it targets.
     let mut block_abs = Vec::new();
@@ -834,19 +764,6 @@ fn main() {
         }
         json.push_str("],\"fault_overhead\":[");
         for (i, o) in fault_overheads.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"task\":\"{}\",\"off_s\":{:.6},\"armed_s\":{:.6},\"armed_overhead\":{:.4}}}",
-                o.task.label(),
-                o.off_s,
-                o.armed_s,
-                o.armed_s / o.off_s - 1.0,
-            ));
-        }
-        json.push_str("],\"profile_overhead\":[");
-        for (i, o) in profile_overheads.iter().enumerate() {
             if i > 0 {
                 json.push(',');
             }

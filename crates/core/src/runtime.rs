@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use halo_noc::{Fabric, FabricError, NodeId, Route};
+use halo_noc::{Fabric, FabricError, LinkTraffic, NodeId, Route};
 use halo_pe::{PeError, ProcessingElement, Token};
 use halo_power::DomainPowerModel;
 use halo_telemetry::health::RADIO_CEILING_BPS;
@@ -240,25 +240,12 @@ impl FaultState {
     }
 }
 
-/// Attached cycle-profiler state: per-slot phase accumulators keyed off
-/// the always-on [`SlotTotals`], so the armed hot-path cost is a few
-/// integer adds per source per frame (and one batched add per quiet
-/// chunk). Compute cycles are *derived* at snapshot time as
-/// `busy − ingest − quiet − drain`, so the four phases tile each slot's
-/// busy cycles exactly and the hot path never touches a fourth array.
-#[derive(Debug)]
-struct ProfileState {
-    /// Stable pipeline label the profile attributes cycles under.
-    pipeline: &'static str,
-    /// Sample rate used to convert busy cycles to window power/energy.
-    sample_rate_hz: u32,
-    /// Source-ingest cycles per slot (scalar-path frames).
-    ingest: Vec<u64>,
-    /// Batched quiet-chunk cycles per slot (`push_block` fast path).
-    quiet: Vec<u64>,
-    /// End-of-stream flush cycles per slot.
-    drain: Vec<u64>,
-}
+/// Modeled NoC serialization cost: interconnect links clock at the
+/// fabric's link capacity, one byte per handshake.
+const NS_PER_LINK_BYTE: f64 = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
+
+/// Modeled radio serialization cost at the 46 Mbps paper ceiling.
+const NS_PER_RADIO_BYTE: f64 = 8.0e9 / RADIO_CEILING_BPS;
 
 /// Sentinel slot index for "no node designated" (radio/MCU/probe taps).
 const NO_SLOT: usize = usize::MAX;
@@ -386,22 +373,30 @@ pub struct Runtime {
     /// Second scratch queue: copies of a burst for all but the last
     /// consumer of a fanned-out producer, and byte-adapted source frames.
     copy: VecDeque<Token>,
+    /// The per-slot cost ledger: [`Runtime::charge`] books every busy and
+    /// stall cycle. Telemetry windows, latency samples, span costs and
+    /// cycle profiles are all read from it.
     totals: Vec<SlotTotals>,
+    /// Each slot's busy cycles split by the [`Phase`] they were charged
+    /// under (indexed by `Phase as usize`), so every row sums to the
+    /// slot's `busy_cycles`.
+    phases: Vec<[u64; Phase::ALL.len()]>,
+    /// The phase [`Runtime::charge`] books cycles under.
+    phase: Phase,
     sink: Arc<dyn TelemetrySink>,
     /// Totals at the start of the current telemetry window.
     window_base: Vec<SlotTotals>,
-    /// Fabric (bus_bytes, transfers) at the start of the window.
-    noc_base: (u64, u64),
+    /// Fabric link traffic at the start of the window.
+    link_base: Vec<LinkTraffic>,
     /// Framed radio bytes already reported to the sink.
     radio_base: u64,
     window_frames: u64,
     window_start: u64,
     sample_rate_hz: u32,
     /// Wall nanoseconds per busy cycle per slot at each domain's anchor
-    /// frequency — converts busy-cycle deltas to latency samples. Filled
-    /// by [`Runtime::attach_telemetry`]; empty (and unread) otherwise.
+    /// frequency — prices latency samples, window service times and spans.
     ns_per_cycle: Vec<f64>,
-    /// Per-slot busy cycles at the start of the in-flight frame — scratch
+    /// Per-slot busy cycles at the start of the in-flight frames — scratch
     /// for the end-to-end frame-latency sample (telemetry only).
     frame_base: Vec<u64>,
     /// Frame-latency samples accumulated since the last window flush.
@@ -412,11 +407,6 @@ pub struct Runtime {
     /// Untraced frames cost one sampler check; traced frames snapshot
     /// consumer stalls around each burst and record per-delivery spans.
     tracer: Option<Arc<Tracer>>,
-    /// Modeled NoC serialization cost (interconnect links clock at the
-    /// radio ceiling's byte rate). Filled by [`Runtime::attach_tracing`].
-    ns_per_link_byte: f64,
-    /// Modeled radio serialization cost at the 46 Mbps paper ceiling.
-    ns_per_radio_byte: f64,
     /// Batched quiet-frame dispatch toggle (on by default). Quiet
     /// stretches — upcoming whole frames guaranteed to produce zero
     /// output tokens at every source PE — are delivered through one
@@ -440,10 +430,6 @@ pub struct Runtime {
     /// ≤2% the same way as tracing (`fault_overhead` in
     /// `BENCH_runtime.json`).
     faults: Option<Box<FaultState>>,
-    /// Attached cycle profiler, or `None` — disabled costs one
-    /// `is_some()` branch per frame; armed cost is ≤2% via the
-    /// `profile_overhead` interleaved A/B in `BENCH_runtime.json`.
-    profile: Option<Box<ProfileState>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -472,10 +458,17 @@ impl Runtime {
         let refs: Vec<&dyn ProcessingElement> = pes.iter().map(|b| b.as_ref()).collect();
         fabric.validate(&refs)?;
         let cycles_per_token = pes.iter().map(|p| p.kind().cycles_per_token()).collect();
+        let ns_per_cycle = pes
+            .iter()
+            .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
+            .collect();
         let totals = vec![SlotTotals::default(); pes.len()];
         let mut runtime = Self {
             window_base: totals.clone(),
+            phases: vec![[0; Phase::ALL.len()]; pes.len()],
+            phase: Phase::Compute,
             cycles_per_token,
+            ns_per_cycle,
             totals,
             route_table: Vec::new(),
             route_gen: 0,
@@ -493,24 +486,20 @@ impl Runtime {
             frame_idx: 0,
             finished: false,
             sink: Arc::new(NullSink),
-            noc_base: (0, 0),
+            link_base: Vec::new(),
             radio_base: 0,
             window_frames: 0,
             window_start: 0,
             sample_rate_hz: 30_000,
-            ns_per_cycle: Vec::new(),
             frame_base: Vec::new(),
             latency_pending: Vec::new(),
             tracer: None,
-            ns_per_link_byte: 0.0,
-            ns_per_radio_byte: 0.0,
             block_dispatch: true,
             trace_buf: Vec::new(),
             open_tags: Vec::new(),
             trace_stall_scratch: Vec::new(),
             source_spans: Vec::new(),
             faults: None,
-            profile: None,
         };
         runtime.rebuild_route_table();
         Ok(runtime)
@@ -573,16 +562,8 @@ impl Runtime {
         }
         self.sample_rate_hz = sample_rate_hz.max(1);
         self.window_frames = window_frames.max(1);
-        self.window_base = self.totals.clone();
-        self.noc_base = (self.fabric.bus_bytes(), self.fabric.transfers());
-        self.radio_base = self.radio.framed.len() as u64;
-        self.window_start = self.frame_idx;
-        self.ns_per_cycle = self
-            .pes
-            .iter()
-            .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
-            .collect();
         self.sink = sink;
+        self.restart_window();
     }
 
     /// Attaches a causal tracer. Each pushed frame asks the tracer's
@@ -592,15 +573,6 @@ impl Runtime {
     /// crossing is recorded as a span. Unsampled frames pay one relaxed
     /// atomic load per frame and one tag read per burst.
     pub fn attach_tracing(&mut self, tracer: Arc<Tracer>) {
-        if self.ns_per_cycle.is_empty() {
-            self.ns_per_cycle = self
-                .pes
-                .iter()
-                .map(|p| 1.0e9 / DomainPowerModel::new(p.kind()).anchor_hz())
-                .collect();
-        }
-        self.ns_per_link_byte = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
-        self.ns_per_radio_byte = 8.0e9 / RADIO_CEILING_BPS;
         tracer.open_tags_into(&mut self.open_tags);
         self.tracer = Some(tracer);
     }
@@ -610,11 +582,6 @@ impl Runtime {
     /// A/B knob the equivalence tests and benchmarks flip.
     pub fn set_block_dispatch(&mut self, on: bool) {
         self.block_dispatch = on;
-    }
-
-    /// The attached tracer, if any.
-    pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
     }
 
     /// Attaches a fault schedule. Faults fire at their exact frame index,
@@ -630,12 +597,6 @@ impl Runtime {
         }));
     }
 
-    /// Detaches the fault schedule (the hook returns to its zero-cost
-    /// disabled state).
-    pub fn detach_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// How many scheduled faults have been applied so far. A harness that
     /// catches an injected error reads this from the poisoned system to
     /// learn which suffix of its master schedule is still pending.
@@ -643,55 +604,20 @@ impl Runtime {
         self.faults.as_ref().map_or(0, |s| s.cursor)
     }
 
-    /// Whether a fault schedule is attached.
-    pub fn faults_attached(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// Arms the cycle profiler: subsequent frames accrue hierarchical
-    /// phase attribution (ingest / compute / drain / quiet-skip) under
-    /// `pipeline`. Attaching resets any previous attribution; the
-    /// disabled hook costs one branch per frame.
-    pub fn attach_profile(&mut self, pipeline: &'static str, sample_rate_hz: u32) {
-        self.profile = Some(Box::new(ProfileState {
-            pipeline,
-            sample_rate_hz,
-            ingest: vec![0; self.pes.len()],
-            quiet: vec![0; self.pes.len()],
-            drain: vec![0; self.pes.len()],
-        }));
-    }
-
-    /// Detaches the profiler (the hook returns to its zero-cost disabled
-    /// state); accumulated attribution is discarded.
-    pub fn detach_profile(&mut self) {
-        self.profile = None;
-    }
-
-    /// Whether the cycle profiler is armed.
-    pub fn profile_attached(&self) -> bool {
-        self.profile.is_some()
-    }
-
-    /// Snapshots the armed profiler into a [`CycleProfile`] rooted at
-    /// `device`. Deterministic: derived entirely from the always-on
-    /// [`SlotTotals`] and the profiler's phase accumulators, never a wall
-    /// clock. Returns `None` when no profiler is attached. Callable
-    /// mid-stream (drain cycles appear once [`Runtime::finish`] ran);
-    /// per-slot energy comes from the slot's [`DomainPowerModel`] window
-    /// draw over the profiled stream, apportioned across phases by cycle
-    /// share.
-    pub fn profile_snapshot(&self, device: &str) -> Option<CycleProfile> {
-        let state = self.profile.as_ref()?;
+    /// The stream's [`CycleProfile`] so far, rooted at `device` with its
+    /// rows under `pipeline`: each slot's busy cycles split by the phase
+    /// (ingest / compute / drain / quiet-skip) [`Runtime::charge`] booked
+    /// them under. Deterministic — read from the cost ledger, never a wall
+    /// clock — and callable mid-stream (drain cycles appear once
+    /// [`Runtime::finish`] ran). Per-slot energy is the slot's
+    /// [`DomainPowerModel`] window draw over the stream at
+    /// `sample_rate_hz`, apportioned across phases by cycle share.
+    pub fn profile(&self, device: &str, pipeline: &str, sample_rate_hz: u32) -> CycleProfile {
         let mut out = CycleProfile::new(device);
         out.frames = self.frame_idx;
-        let stream_s = self.frame_idx as f64 / state.sample_rate_hz as f64;
-        for slot in 0..self.pes.len() {
+        let stream_s = self.frame_idx as f64 / sample_rate_hz as f64;
+        for (slot, phases) in self.phases.iter().enumerate() {
             let busy = self.totals[slot].busy_cycles;
-            let ingest = state.ingest[slot].min(busy);
-            let quiet = state.quiet[slot].min(busy - ingest);
-            let drain = state.drain[slot].min(busy - ingest - quiet);
-            let compute = busy - ingest - quiet - drain;
             if busy == 0 {
                 continue;
             }
@@ -705,17 +631,13 @@ impl Runtime {
                 0.0
             };
             let name = self.pes[slot].kind().name();
-            for (phase, cycles) in [
-                (Phase::Ingest, ingest),
-                (Phase::Compute, compute),
-                (Phase::Drain, drain),
-                (Phase::QuietSkip, quiet),
-            ] {
+            for phase in Phase::ALL {
+                let cycles = phases[phase as usize];
                 if cycles == 0 {
                     continue;
                 }
                 out.add(ProfileRow {
-                    pipeline: state.pipeline.to_string(),
+                    pipeline: pipeline.to_string(),
                     slot: slot as u8,
                     pe: name.to_string(),
                     phase,
@@ -724,7 +646,7 @@ impl Runtime {
                 });
             }
         }
-        Some(out)
+        out
     }
 
     /// The per-slot activity totals accumulated so far.
@@ -866,6 +788,10 @@ impl Runtime {
         chunk: usize,
         sink_on: bool,
     ) -> Result<(), RuntimeError> {
+        if sink_on {
+            self.open_frames();
+        }
+        self.phase = Phase::QuietSkip;
         for k in 0..self.sources.len() {
             let src = self.sources[k];
             let tokens = (chunk * frame_len) as u64;
@@ -886,38 +812,9 @@ impl Runtime {
                 self.tag_sources(tag);
             }
         }
-        if let Some(p) = &mut self.profile {
-            // Quiet-skip attribution, batched: one add per source for the
-            // whole chunk (the batchable precondition already proved every
-            // source slot is on the installed array).
-            for src in &self.sources {
-                let slot = src.to.0;
-                p.quiet[slot] += self.cycles_per_token[slot] * (chunk * frame_len) as u64;
-            }
-        }
         self.frame_idx += chunk as u64;
         if sink_on {
-            // The scalar per-frame latency sample for a quiet frame is the
-            // source-ingest service time alone (nothing else runs that
-            // frame); reproduce its slot-ordered f64 summation exactly.
-            let mut nanos = 0.0f64;
-            for slot in 0..self.pes.len() {
-                let mut cycles = 0u64;
-                for src in &self.sources {
-                    if src.to.0 == slot {
-                        cycles += frame_len as u64 * self.cycles_per_token[slot];
-                    }
-                }
-                if cycles != 0 {
-                    nanos += cycles as f64 * self.ns_per_cycle[slot];
-                }
-            }
-            let sample = nanos as u64;
-            self.latency_pending
-                .extend(std::iter::repeat_n(sample, chunk));
-            if self.frame_idx - self.window_start >= self.window_frames {
-                self.emit_window();
-            }
+            self.close_frames(chunk as u64);
         }
         Ok(())
     }
@@ -932,11 +829,7 @@ impl Runtime {
         }
         let sink_on = self.sink.enabled();
         if sink_on {
-            // Busy-cycle baseline for this frame's end-to-end latency
-            // sample (reused scratch — no steady-state allocation).
-            self.frame_base.clear();
-            self.frame_base
-                .extend(self.totals.iter().map(|t| t.busy_cycles));
+            self.open_frames();
         }
         // Ask the sampler whether this frame is traced. Unsampled frames
         // (the overwhelming majority) fall straight through to the same
@@ -960,6 +853,7 @@ impl Runtime {
         } else {
             frame.len().max(1)
         };
+        self.phase = Phase::Ingest;
         for part in frame.chunks(step) {
             for k in 0..self.sources.len() {
                 let src = self.sources[k];
@@ -980,45 +874,46 @@ impl Runtime {
         if tag != 0 {
             self.trace_sources(tag, frame.len(), &stall_base);
         }
-        if let Some(p) = &mut self.profile {
-            // Source-ingest attribution: exactly the cycles the loop
-            // above charged via `charge` (one token per sample for
-            // Direct, two per sample byte-adapted).
-            for src in &self.sources {
-                let slot = src.to.0;
-                if slot < p.ingest.len() {
-                    let tokens = match src.adapter {
-                        Adapter::Direct => frame.len() as u64,
-                        Adapter::SamplesToBytes => 2 * frame.len() as u64,
-                    };
-                    p.ingest[slot] += tokens * self.cycles_per_token[slot];
-                }
-            }
-        }
         self.frame_idx += 1;
+        self.phase = Phase::Compute;
         self.propagate()?;
         self.flush_trace_buf();
         if sink_on {
-            // End-to-end frame latency: every domain's busy-cycle delta,
-            // converted at its own anchor frequency. The modeled fabric
-            // pipelines PEs, but summing serialized service time is the
-            // conservative upper bound a deadline check wants. Samples are
-            // buffered here and flushed in one batch per window — the
-            // histogram contents are identical, only the sink
-            // synchronization is amortized.
-            let mut nanos = 0.0f64;
-            for (slot, t) in self.totals.iter().enumerate() {
-                let delta = t.busy_cycles - self.frame_base[slot];
-                if delta != 0 {
-                    nanos += delta as f64 * self.ns_per_cycle[slot];
-                }
-            }
-            self.latency_pending.push(nanos as u64);
-            if self.frame_idx - self.window_start >= self.window_frames {
-                self.emit_window();
-            }
+            self.close_frames(1);
         }
         Ok(())
+    }
+
+    /// Opens the end-to-end latency sample of the frames about to be
+    /// pushed: snapshots every slot's busy cycles (reused scratch — no
+    /// steady-state allocation).
+    fn open_frames(&mut self) {
+        self.frame_base.clear();
+        self.frame_base
+            .extend(self.totals.iter().map(|t| t.busy_cycles));
+    }
+
+    /// Closes the `frames` frames [`Runtime::open_frames`] opened, which
+    /// split the busy cycles charged since evenly (a quiet chunk charges
+    /// each of its frames alike), and flushes a full telemetry window.
+    /// Each frame's sample is every domain's busy-cycle delta at its own
+    /// anchor frequency: the modeled fabric pipelines PEs, but summing
+    /// serialized service time is the conservative upper bound a deadline
+    /// check wants. Samples are buffered and flushed in one batch per
+    /// window, so a locking sink synchronizes once per window.
+    fn close_frames(&mut self, frames: u64) {
+        let mut nanos = 0.0f64;
+        for (slot, t) in self.totals.iter().enumerate() {
+            let delta = (t.busy_cycles - self.frame_base[slot]) / frames;
+            if delta != 0 {
+                nanos += self.nanos(slot, delta);
+            }
+        }
+        self.latency_pending
+            .extend(std::iter::repeat_n(nanos as u64, frames as usize));
+        if self.frame_idx - self.window_start >= self.window_frames {
+            self.emit_window();
+        }
     }
 
     /// Applies every scheduled fault due at the current frame. All due
@@ -1101,10 +996,10 @@ impl Runtime {
                 to,
                 stall_cycles,
             } => {
-                let Some(t) = self.totals.get_mut(to.0) else {
+                if to.0 >= self.pes.len() {
                     return Err(RuntimeError::NoSuchNode(to));
-                };
-                t.stall_cycles += stall_cycles;
+                }
+                self.charge(to.0, 0, 0, stall_cycles);
                 Ok(())
             }
             FaultAction::RogueMmio { word } => {
@@ -1127,53 +1022,30 @@ impl Runtime {
         if self.finished {
             return Ok(());
         }
-        // Drain attribution baseline: everything the flush loop adds to
-        // the busy counters below belongs to the drain phase.
-        let drain_base: Vec<u64> = if self.profile.is_some() {
-            self.totals.iter().map(|t| t.busy_cycles).collect()
-        } else {
-            Vec::new()
-        };
+        self.phase = Phase::Drain;
         for i in 0..self.pes.len() {
             self.pes[i].flush();
             self.propagate()?;
-        }
-        if let Some(p) = &mut self.profile {
-            for (slot, base) in drain_base.iter().enumerate() {
-                p.drain[slot] += self.totals[slot].busy_cycles - base;
-            }
         }
         self.flush_trace_buf();
         self.radio.finish();
         self.finished = true;
         if self.sink.enabled() {
             self.emit_window();
-            // `emit_window` skips zero-frame windows, but the drain above
-            // may still have produced radio bytes past the last boundary —
-            // report the remainder so windowed deltas sum to the stream.
-            let radio_now = self.radio.framed.len() as u64;
-            let bytes = radio_now - self.radio_base;
-            if bytes > 0 {
-                self.sink.add(Scope::System, Counter::RadioBytes, bytes);
-                self.sink.event(Event {
-                    frame: self.frame_idx,
-                    kind: EventKind::RadioWindow { frames: 0, bytes },
-                });
-                self.radio_base = radio_now;
-            }
         }
         Ok(())
     }
 
-    /// Flushes the current telemetry window to the sink: per-slot deltas
-    /// as events and batched counter updates, a NoC window, and one power
-    /// sample per clock domain.
+    /// Flushes the current telemetry window to the sink. Counters move in
+    /// batched deltas of the slot and link ledgers and the radio stream,
+    /// so windowed deltas always sum to the stream's totals. A window with
+    /// frames in it also gets per-slot, NoC and radio window events and
+    /// one power sample per clock domain; the zero-frame window that
+    /// [`Runtime::finish`] flushes when the stream ends on a window
+    /// boundary carries only the drain's counters.
     fn emit_window(&mut self) {
         let end = self.frame_idx;
         let frames = (end - self.window_start) as u32;
-        if frames == 0 {
-            return;
-        }
         // Per-frame System bookkeeping, batched to one call per window:
         // the frame count and the buffered end-to-end latency samples.
         self.sink
@@ -1182,6 +1054,25 @@ impl Runtime {
             self.sink
                 .latency_batch(Scope::System, &self.latency_pending);
             self.latency_pending.clear();
+        }
+        let (mut noc_bytes, mut noc_transfers) = (0, 0);
+        for (k, link) in self.fabric.link_traffic().iter().enumerate() {
+            let base = self
+                .link_base
+                .get(k)
+                .map_or((0, 0), |b| (b.transfers, b.bytes));
+            let (transfers, bytes) = (link.transfers - base.0, link.bytes - base.1);
+            if transfers == 0 {
+                continue;
+            }
+            let scope = Scope::Link {
+                from: link.from.0 as u8,
+                to: link.to.0 as u8,
+            };
+            self.sink.add(scope, Counter::BytesOut, bytes);
+            self.sink.add(scope, Counter::TokensOut, transfers);
+            noc_bytes += bytes;
+            noc_transfers += transfers;
         }
         let window_s = frames as f64 / self.sample_rate_hz as f64;
         for slot in 0..self.pes.len() {
@@ -1193,7 +1084,8 @@ impl Runtime {
             let bytes_out = now.bytes_out - base.bytes_out;
             let name = self.pes[slot].kind().name();
             let scope = Scope::Pe(slot as u8);
-            if busy != 0 || stall != 0 || bytes_in != 0 || bytes_out != 0 {
+            let active = busy != 0 || stall != 0 || bytes_in != 0 || bytes_out != 0;
+            if active {
                 self.sink.add(scope, Counter::BusyCycles, busy);
                 self.sink.add(scope, Counter::StallCycles, stall);
                 self.sink.add(scope, Counter::BytesIn, bytes_in);
@@ -1202,6 +1094,11 @@ impl Runtime {
                     .add(scope, Counter::TokensIn, now.tokens_in - base.tokens_in);
                 self.sink
                     .add(scope, Counter::TokensOut, now.tokens_out - base.tokens_out);
+            }
+            if frames == 0 {
+                continue;
+            }
+            if active {
                 self.sink.event(Event {
                     frame: self.window_start,
                     kind: EventKind::PeWindow {
@@ -1216,8 +1113,7 @@ impl Runtime {
                 });
                 if busy != 0 {
                     // Window service time at this domain's anchor clock.
-                    let service = busy as f64 * self.ns_per_cycle[slot];
-                    self.sink.latency(scope, service as u64);
+                    self.sink.latency(scope, self.nanos(slot, busy) as u64);
                 }
             }
             if let Some(fifo) = self.pes[slot].output_fifo() {
@@ -1248,47 +1144,70 @@ impl Runtime {
                 },
             });
         }
-        let noc_bytes = self.fabric.bus_bytes() - self.noc_base.0;
-        let noc_transfers = self.fabric.transfers() - self.noc_base.1;
-        self.sink.event(Event {
-            frame: self.window_start,
-            kind: EventKind::NocWindow {
-                frames,
-                bytes: noc_bytes,
-                transfers: noc_transfers,
-            },
-        });
+        if frames > 0 {
+            self.sink.event(Event {
+                frame: self.window_start,
+                kind: EventKind::NocWindow {
+                    frames,
+                    bytes: noc_bytes,
+                    transfers: noc_transfers,
+                },
+            });
+        }
         // Radio throughput this window: counters move in windowed deltas
         // (summing to the final stream length), and the event gives the
         // health monitor a bits-per-second sample to judge.
-        let radio_now = self.radio.framed.len() as u64;
-        let radio_bytes = radio_now - self.radio_base;
+        let radio_bytes = self.radio.framed.len() as u64 - self.radio_base;
         if radio_bytes > 0 {
             self.sink
                 .add(Scope::System, Counter::RadioBytes, radio_bytes);
         }
-        self.sink.event(Event {
-            frame: self.window_start,
-            kind: EventKind::RadioWindow {
-                frames,
-                bytes: radio_bytes,
-            },
-        });
-        self.radio_base = radio_now;
-        self.window_base = self.totals.clone();
-        self.noc_base = (self.fabric.bus_bytes(), self.fabric.transfers());
-        self.window_start = end;
+        if frames > 0 {
+            self.sink.event(Event {
+                frame: self.window_start,
+                kind: EventKind::RadioWindow {
+                    frames,
+                    bytes: radio_bytes,
+                },
+            });
+        }
+        self.restart_window();
+    }
+
+    /// Starts a telemetry window at the current frame: later flushes
+    /// report the ledgers' deltas from where they stand now.
+    fn restart_window(&mut self) {
+        self.window_base.clone_from(&self.totals);
+        self.link_base.clear();
+        self.link_base.extend_from_slice(self.fabric.link_traffic());
+        self.radio_base = self.radio.framed.len() as u64;
+        self.window_start = self.frame_idx;
+    }
+
+    /// Busy cycles `tokens` pushes into `slot` cost: the cost model's one
+    /// read of `cycles_per_token`.
+    fn cycles(&self, slot: usize, tokens: u64) -> u64 {
+        self.cycles_per_token[slot] * tokens
+    }
+
+    /// Wall nanoseconds `cycles` busy cycles of `slot` take at its
+    /// domain's anchor clock.
+    fn nanos(&self, slot: usize, cycles: u64) -> f64 {
+        cycles as f64 * self.ns_per_cycle[slot]
     }
 
     /// Charges `tokens` pushes of `bytes` wire bytes into `slot`, `stalls`
     /// of which found its output FIFO still occupied — the consumer had not
-    /// kept up, which counts as back-pressure.
+    /// kept up, which counts as back-pressure. The busy cycles also go to
+    /// the slot's row for the current phase.
     fn charge(&mut self, slot: usize, tokens: u64, bytes: u64, stalls: u64) {
+        let cycles = self.cycles(slot, tokens);
         let t = &mut self.totals[slot];
         t.tokens_in += tokens;
         t.bytes_in += bytes;
-        t.busy_cycles += self.cycles_per_token[slot] * tokens;
+        t.busy_cycles += cycles;
         t.stall_cycles += stalls;
+        self.phases[slot][self.phase as usize] += cycles;
     }
 
     /// Delivers a burst (`bytes` wire bytes in all) into `to`'s input
@@ -1462,7 +1381,7 @@ impl Runtime {
         let (noc_ns, cross_ns) = match from {
             None => (0, 0),
             Some(from) => (
-                (bytes as f64 * self.ns_per_link_byte) as u64,
+                (bytes as f64 * NS_PER_LINK_BYTE) as u64,
                 // Clock-domain crossing: one consumer-domain cycle of
                 // synchronizer latency when producer and consumer run at
                 // different anchor frequencies (§IV-D dual-clock FIFOs).
@@ -1471,9 +1390,9 @@ impl Runtime {
         };
         DeliveryCosts {
             noc_ns,
-            wait_ns: (wait as f64 * ns[to]) as u64,
+            wait_ns: self.nanos(to, wait) as u64,
             cross_ns,
-            service_ns: ((n * self.cycles_per_token[to]) as f64 * ns[to]) as u64,
+            service_ns: self.nanos(to, self.cycles(to, n)) as u64,
         }
     }
 
@@ -1481,8 +1400,8 @@ impl Runtime {
     ///
     /// This is the streaming hot path. Each drained burst reaches each of
     /// its consumers in one [`Runtime::deliver`] call and is accounted once
-    /// per burst: producer and consumer totals, fabric and sink link
-    /// counters, and the radio, MCU and probe taps. Fan-out is looked up
+    /// per burst: producer and consumer totals, the fabric's link traffic,
+    /// and the radio, MCU and probe taps. Fan-out is looked up
     /// in the precomputed route table, and bursts move through two reusable
     /// scratch queues, so steady state allocates nothing.
     fn propagate(&mut self) -> Result<(), RuntimeError> {
@@ -1508,7 +1427,6 @@ impl Runtime {
         burst: &mut VecDeque<Token>,
         copy: &mut VecDeque<Token>,
     ) -> Result<(), RuntimeError> {
-        let sink_on = self.sink.enabled();
         loop {
             let mut moved = false;
             for i in 0..self.pes.len() {
@@ -1587,17 +1505,8 @@ impl Runtime {
                         }
                     }
                 }
-                for k in 0..fan_out {
-                    let route = self.route_table[i][k];
+                for route in &self.route_table[i] {
                     self.fabric.record_transfers(route.from, route.to, n, bytes);
-                    if sink_on {
-                        let link = Scope::Link {
-                            from: route.from.0 as u8,
-                            to: route.to.0 as u8,
-                        };
-                        self.sink.add(link, Counter::BytesOut, bytes);
-                        self.sink.add(link, Counter::TokensOut, n);
-                    }
                 }
                 if tag != 0 {
                     self.trace_burst(tag, i, n, bytes, &stall_base, is_radio);
@@ -1656,7 +1565,7 @@ impl Runtime {
             }
         }
         if is_radio && accepted {
-            let ns = (total_bytes as f64 * self.ns_per_radio_byte) as u64;
+            let ns = (total_bytes as f64 * NS_PER_RADIO_BYTE) as u64;
             self.trace_buf.push(TraceEvent::Radio {
                 tag,
                 node: from as u8,

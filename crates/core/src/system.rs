@@ -10,7 +10,6 @@ use crate::power::PowerReport;
 use crate::runtime::{Runtime, RuntimeError};
 use crate::task::Task;
 use halo_noc::Fabric;
-use halo_pe::ProcessingElement;
 use halo_signal::Recording;
 use halo_telemetry::{
     AlertPolicy, ContinuousTelemetry, CycleProfile, Event, EventKind, HealthMonitor, NullSink,
@@ -116,19 +115,28 @@ impl std::fmt::Display for SystemError {
 
 impl std::error::Error for SystemError {}
 
-/// Re-validates a firmware-programmed fabric against the PE array it will
-/// drive. [`Controller::program_switches`] applies whatever words the
-/// MMIO mailbox drained — the fabric accepts any well-formed word, so a
-/// route off the installed array only surfaces here (as an `Err`, never a
-/// runtime panic).
-fn validate_programmed(
-    fabric: &Fabric,
-    pes: &[Box<dyn ProcessingElement>],
-) -> Result<(), SystemError> {
-    let refs: Vec<&dyn ProcessingElement> = pes.iter().map(|b| b.as_ref()).collect();
-    fabric
-        .validate(&refs)
-        .map_err(|e| SystemError::Runtime(RuntimeError::Fabric(e)))
+/// Brings `task` up: builds its pipeline, has the micro-controller's
+/// firmware program the interconnect switches through MMIO, and returns a
+/// runtime over the result with its switch count. The fabric accepts any
+/// well-formed word, so a route off the installed array only surfaces in
+/// [`Runtime::new`]'s validation (as an `Err`, never a runtime panic).
+fn bring_up(
+    task: Task,
+    config: &HaloConfig,
+    controller: &mut Controller,
+) -> Result<(Runtime, usize), SystemError> {
+    let pipeline = Pipeline::build(task, config)?;
+    let mut fabric = Fabric::new();
+    controller.program_switches(&mut fabric, &pipeline.routes)?;
+    let switches = fabric.switch_count();
+    let runtime = Runtime::new(
+        pipeline.pes,
+        fabric,
+        pipeline.sources,
+        pipeline.radio_from,
+        pipeline.mcu_from,
+    )?;
+    Ok((runtime, switches))
 }
 
 /// A configured HALO device running one task.
@@ -147,9 +155,12 @@ pub struct HaloSystem {
     health: Option<Arc<HealthMonitor>>,
     continuous: Option<Arc<ContinuousTelemetry>>,
     tracer: Option<Arc<Tracer>>,
-    /// Whether [`HaloSystem::attach_profile`] armed the cycle profiler
-    /// (re-armed across [`HaloSystem::reconfigure`]).
+    /// Whether [`HaloSystem::attach_profile`] enabled profile reporting
+    /// (kept across [`HaloSystem::reconfigure`]).
     profiled: bool,
+    /// Batched quiet-frame dispatch, reapplied to every runtime
+    /// [`HaloSystem::reconfigure`] brings up.
+    block_dispatch: bool,
     /// Profiles snapshotted from retired runtimes at reconfiguration,
     /// merged into [`HaloSystem::profile`] reads.
     profile_history: Vec<CycleProfile>,
@@ -178,19 +189,8 @@ impl HaloSystem {
                 max: crate::distributed::MAX_STIM_CHANNELS,
             });
         }
-        let pipeline = Pipeline::build(task, &config)?;
         let mut controller = Controller::new();
-        let mut fabric = Fabric::new();
-        controller.program_switches(&mut fabric, &pipeline.routes)?;
-        validate_programmed(&fabric, &pipeline.pes)?;
-        let switches = fabric.switch_count();
-        let runtime = Runtime::new(
-            pipeline.pes,
-            fabric,
-            pipeline.sources,
-            pipeline.radio_from,
-            pipeline.mcu_from,
-        )?;
+        let (runtime, switches) = bring_up(task, &config, &mut controller)?;
         Ok(Self {
             task,
             config,
@@ -202,6 +202,7 @@ impl HaloSystem {
             continuous: None,
             tracer: None,
             profiled: false,
+            block_dispatch: true,
             profile_history: Vec::new(),
         })
     }
@@ -228,13 +229,7 @@ impl HaloSystem {
             });
         }
         self.sink = sink;
-        // A tracer attached first streams its span events into whichever
-        // sink arrived second — wire it up regardless of attach order.
-        if let Some(tracer) = &self.tracer {
-            if self.sink.enabled() {
-                tracer.set_sink(self.sink.clone());
-            }
-        }
+        self.cross_wire();
     }
 
     /// Attaches a [`HealthMonitor`] as the device's telemetry sink and
@@ -244,11 +239,8 @@ impl HaloSystem {
     /// the monitor gains the escalation hook: critical alerts force-sample
     /// the next frames and post-mortems carry assembled span trees.
     pub fn attach_health(&mut self, monitor: Arc<HealthMonitor>) {
-        self.attach_telemetry(monitor.clone());
-        if let Some(tracer) = &self.tracer {
-            monitor.set_tracer(tracer.clone());
-        }
-        self.health = Some(monitor);
+        self.health = Some(monitor.clone());
+        self.attach_telemetry(monitor);
     }
 
     /// The attached health monitor, if any.
@@ -265,13 +257,9 @@ impl HaloSystem {
     /// flushes the layer (closing the trailing power window and polling
     /// the SLO/anomaly engines) before it returns.
     pub fn attach_continuous(&mut self, continuous: Arc<ContinuousTelemetry>) {
-        let monitor = continuous.monitor().clone();
-        self.attach_telemetry(continuous.clone());
-        if let Some(tracer) = &self.tracer {
-            monitor.set_tracer(tracer.clone());
-        }
-        self.health = Some(monitor);
-        self.continuous = Some(continuous);
+        self.health = Some(continuous.monitor().clone());
+        self.continuous = Some(continuous.clone());
+        self.attach_telemetry(continuous);
     }
 
     /// The attached continuous-telemetry layer, if any.
@@ -287,13 +275,23 @@ impl HaloSystem {
     /// alerts escalate the sampling rate.
     pub fn attach_tracing(&mut self, tracer: Arc<Tracer>) {
         self.runtime.attach_tracing(tracer.clone());
+        self.tracer = Some(tracer);
+        self.cross_wire();
+    }
+
+    /// Wires the attached instruments into one another, whichever order
+    /// they were attached in: the tracer streams its span events into an
+    /// enabled sink, and the health monitor escalates the tracer.
+    fn cross_wire(&self) {
+        let Some(tracer) = &self.tracer else {
+            return;
+        };
         if self.sink.enabled() {
             tracer.set_sink(self.sink.clone());
         }
         if let Some(monitor) = &self.health {
             monitor.set_tracer(tracer.clone());
         }
-        self.tracer = Some(tracer);
     }
 
     /// The attached tracer, if any.
@@ -301,26 +299,20 @@ impl HaloSystem {
         self.tracer.as_ref()
     }
 
-    /// Arms the always-on-capable cycle profiler: every frame streamed
-    /// from here on accrues hierarchical cycle/energy attribution
-    /// (pipeline → PE → kernel phase) under the current task's label.
+    /// Enables cycle-profile reporting through [`HaloSystem::profile`]:
+    /// hierarchical cycle/energy attribution (pipeline → PE → kernel
+    /// phase) under the current task's label. The runtime charges phases
+    /// on every run, so arming mid-stream still covers the whole stream.
     /// Survives [`HaloSystem::reconfigure`] — each retired runtime's
     /// profile is snapshotted and merged into [`HaloSystem::profile`]
     /// reads, so a multi-task session profiles every pipeline it ran.
     pub fn attach_profile(&mut self) {
-        self.runtime
-            .attach_profile(self.task.label(), self.config.sample_rate_hz);
         self.profiled = true;
-    }
-
-    /// Whether the cycle profiler is armed.
-    pub fn profile_attached(&self) -> bool {
-        self.profiled
     }
 
     /// The accumulated [`CycleProfile`] rooted at `device`, merging every
     /// reconfiguration epoch with the live runtime's attribution. `None`
-    /// unless [`HaloSystem::attach_profile`] armed the profiler.
+    /// unless [`HaloSystem::attach_profile`] enabled reporting.
     pub fn profile(&self, device: &str) -> Option<CycleProfile> {
         if !self.profiled {
             return None;
@@ -329,15 +321,21 @@ impl HaloSystem {
         for epoch in &self.profile_history {
             out.merge(epoch);
         }
-        if let Some(current) = self.runtime.profile_snapshot(device) {
-            out.merge(&current);
-        }
+        out.merge(&self.runtime_profile(device));
         Some(out)
     }
 
+    /// The live runtime's profile, rooted at `device`.
+    fn runtime_profile(&self, device: &str) -> CycleProfile {
+        self.runtime
+            .profile(device, self.task.label(), self.config.sample_rate_hz)
+    }
+
     /// Enables or disables the runtime's batched quiet-frame dispatch
-    /// (on by default) — see [`Runtime::set_block_dispatch`].
+    /// (on by default) — see [`Runtime::set_block_dispatch`]. The setting
+    /// carries across [`HaloSystem::reconfigure`].
     pub fn set_block_dispatch(&mut self, on: bool) {
+        self.block_dispatch = on;
         self.runtime.set_block_dispatch(on);
     }
 
@@ -362,37 +360,23 @@ impl HaloSystem {
         // the device root is applied at read time, so the placeholder
         // here never surfaces.
         if self.profiled {
-            if let Some(epoch) = self.runtime.profile_snapshot("") {
-                self.profile_history.push(epoch);
-            }
+            let epoch = self.runtime_profile("");
+            self.profile_history.push(epoch);
         }
-        let pipeline = Pipeline::build(task, &self.config)?;
-        let mut fabric = Fabric::new();
-        self.controller
-            .program_switches(&mut fabric, &pipeline.routes)?;
-        validate_programmed(&fabric, &pipeline.pes)?;
-        self.switches = fabric.switch_count();
-        self.runtime = Runtime::new(
-            pipeline.pes,
-            fabric,
-            pipeline.sources,
-            pipeline.radio_from,
-            pipeline.mcu_from,
-        )?;
+        let (runtime, switches) = bring_up(task, &self.config, &mut self.controller)?;
+        self.runtime = runtime;
+        self.switches = switches;
         self.task = task;
-        // The new runtime starts with a NullSink; re-wire the attached
-        // telemetry (which also emits a task marker for the trace) and the
-        // causal tracer, which keeps accumulating across reconfigurations.
+        // The new runtime starts bare: re-attach the telemetry (which also
+        // emits a task marker for the trace), the causal tracer, which
+        // keeps accumulating across reconfigurations, and the dispatch mode.
         if self.sink.enabled() {
             self.attach_telemetry(self.sink.clone());
         }
         if let Some(tracer) = self.tracer.clone() {
-            self.runtime.attach_tracing(tracer);
+            self.attach_tracing(tracer);
         }
-        if self.profiled {
-            self.runtime
-                .attach_profile(self.task.label(), self.config.sample_rate_hz);
-        }
+        self.runtime.set_block_dispatch(self.block_dispatch);
         Ok(())
     }
 
@@ -432,13 +416,19 @@ impl HaloSystem {
     /// Returns [`SystemError::Runtime`] on a streaming failure (also
     /// reported to the attached health monitor's flight recorder).
     pub fn push_block(&mut self, samples: &[i16]) -> Result<(), SystemError> {
-        if let Err(e) = self.runtime.push_block(samples, self.config.channels) {
+        let result = self.runtime.push_block(samples, self.config.channels);
+        self.report(result)
+    }
+
+    /// Passes a streaming result through, first reporting an error to the
+    /// attached health monitor's flight recorder.
+    fn report(&self, result: Result<(), RuntimeError>) -> Result<(), SystemError> {
+        result.map_err(|e| {
             if let Some(monitor) = &self.health {
                 monitor.note_runtime_error(&e.to_string(), self.runtime.frames());
             }
-            return Err(e.into());
-        }
-        Ok(())
+            e.into()
+        })
     }
 
     /// Ends the stream and collects metrics: drains the PE array, replays
@@ -452,12 +442,8 @@ impl HaloSystem {
     /// Returns [`SystemError`] on a draining failure, firmware error, or a
     /// tripped fail-fast monitor.
     pub fn finalize(&mut self) -> Result<TaskMetrics, SystemError> {
-        if let Err(e) = self.runtime.finish() {
-            if let Some(monitor) = &self.health {
-                monitor.note_runtime_error(&e.to_string(), self.runtime.frames());
-            }
-            return Err(e.into());
-        }
+        let result = self.runtime.finish();
+        self.report(result)?;
 
         // Closed-loop stimulation with a refractory window.
         let mut stim_events = Vec::new();

@@ -415,7 +415,6 @@ impl Engine<'_> {
             self.dead = Some(format!("pipeline swap to {task:?} failed: {e}"));
             return;
         }
-        self.system.set_block_dispatch(self.cfg.block_dispatch);
         self.frame_base = global;
         self.radio_offset = 0;
         self.legal_words = self.system.runtime().fabric().encoded_routes();

@@ -9,8 +9,9 @@
 //! * **ingest** — cycles charged pushing source tokens into the fabric's
 //!   entry PEs, per frame.
 //! * **compute** — cycles the PE graph burned propagating and transforming
-//!   tokens downstream of the sources (derived: busy − ingest − quiet −
-//!   drain, so the four phases always tile a slot's busy cycles exactly).
+//!   tokens downstream of the sources. The runtime books every charge
+//!   under exactly one phase, so the four always tile a slot's busy
+//!   cycles.
 //! * **drain** — cycles spent flushing residual state at end of stream.
 //! * **quiet-skip** — cycles accounted on the batched `push_block` fast
 //!   path for provably-quiet frame chunks that never individually

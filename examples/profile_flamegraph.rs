@@ -3,9 +3,10 @@
 //!
 //! The narrative: a clinician asks "where do this implant's cycles and
 //! microjoules actually go?" The profiler rides the deterministic cost
-//! model — no wall clocks, no sampling — so the answer is exact,
-//! byte-stable across machines, and cheap enough to leave armed in
-//! production (the `profile_overhead` bench section holds it under 2%).
+//! model — no wall clocks, no sampling — so the answer is exact and
+//! byte-stable across machines, and it costs nothing extra to leave on:
+//! the runtime books every charge under its phase on every run, and
+//! `attach_profile` only enables reporting.
 //! One replay yields a hierarchical attribution over
 //! *device → pipeline → PE@slot → kernel phase* (ingest / compute /
 //! drain / quiet-skip), folded into the collapsed-stack format that

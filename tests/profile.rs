@@ -178,4 +178,89 @@ fn reconfigure_banks_attribution_across_pipeline_epochs() {
         "reconfigure lost the retiring epoch's attribution"
     );
     assert!(both.folded().starts_with("dev;"));
+
+    // Block dispatch is a device setting: the runtime a reconfigure brings
+    // up keeps the scalar path, so neither epoch books quiet-skip cycles.
+    let mut scalar =
+        HaloSystem::new(Task::MovementIntent, HaloConfig::small_test(CHANNELS)).unwrap();
+    scalar.set_block_dispatch(false);
+    scalar.attach_profile();
+    scalar.process(&rec).unwrap();
+    scalar.reconfigure(Task::SeizurePrediction).unwrap();
+    scalar.process(&rec).unwrap();
+    let epochs = scalar.profile("dev").unwrap();
+    for pipeline in ["MoveIntent", "SeizurePred"] {
+        assert!(
+            epochs.rows.iter().any(|r| r.pipeline == pipeline),
+            "{pipeline}: epoch missing"
+        );
+    }
+    let quiet: Vec<String> = epochs
+        .rows
+        .iter()
+        .filter(|r| r.phase == Phase::QuietSkip)
+        .map(|r| r.frame())
+        .collect();
+    assert!(quiet.is_empty(), "dispatch off, yet quiet-skip: {quiet:?}");
+}
+
+#[test]
+fn profile_armed_mid_stream_equals_one_armed_before_it() {
+    // The runtime charges phases on every run and arming only enables
+    // reporting, so the moment the profile is armed cannot move the
+    // attribution.
+    let rec = recording(60, 16);
+    let half = rec.samples().len() / CHANNELS / 2 * CHANNELS;
+    let (first, second) = rec.samples().split_at(half);
+    for task in Task::all() {
+        let run = |arm_mid_stream: bool| {
+            let mut sys = HaloSystem::new(task, HaloConfig::small_test(CHANNELS)).unwrap();
+            if !arm_mid_stream {
+                sys.attach_profile();
+            }
+            sys.push_block(first).unwrap();
+            if arm_mid_stream {
+                sys.attach_profile();
+            }
+            sys.push_block(second).unwrap();
+            sys.finalize().unwrap();
+            sys.profile("dev").expect("profiler attached")
+        };
+        assert_eq!(run(true), run(false), "{}", task.label());
+    }
+}
+
+#[test]
+fn committed_bench_profiles_regenerate_exactly() {
+    // The `profiles` section of BENCH_runtime.json is the modeled
+    // attribution baseline the bench sentinel diffs against. Regenerated
+    // at the runtime bench's setup (`deterministic_profile`: 8 channels,
+    // 100 ms of arm signal, seed 21), every pipeline's profile must match
+    // it exactly.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_runtime.json");
+    let doc = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    let baseline = json::parse(&doc).expect("BENCH_runtime.json parses");
+    let entries = baseline
+        .get("profiles")
+        .and_then(|v| v.as_array())
+        .expect("BENCH_runtime.json has a profiles section");
+    assert_eq!(entries.len(), Task::all().len());
+    let rec = recording(100, 21);
+    for (task, entry) in Task::all().into_iter().zip(entries) {
+        assert_eq!(
+            entry.get("task").and_then(|t| t.as_str()),
+            Some(task.label())
+        );
+        let committed = entry
+            .get("profile")
+            .and_then(CycleProfile::from_json)
+            .expect("committed profile parses");
+        let (_, fresh) = profiled_run(task, &rec);
+        assert_eq!(
+            (fresh.frames, &fresh.rows),
+            (committed.frames, &committed.rows),
+            "{}: modeled attribution moved off the committed baseline",
+            task.label()
+        );
+    }
 }

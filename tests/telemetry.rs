@@ -59,7 +59,9 @@ fn run(task: Task, recorder: Option<Arc<Recorder>>) -> TaskMetrics {
 }
 
 /// Conservation along the pipeline: everything the radio sent was emitted
-/// by some PE first, so per-PE bytes-out must cover the radio stream.
+/// by some PE first, so per-PE bytes-out must cover the radio stream. The
+/// windowed counters also sum to the runtime's own totals, including when
+/// the stream ends on a window boundary.
 #[test]
 fn pe_bytes_out_cover_radio_bytes() {
     for task in [Task::SeizurePrediction, Task::CompressLzma] {
@@ -85,6 +87,69 @@ fn pe_bytes_out_cover_radio_bytes() {
         // NoC traffic was recorded per link and matches the bus total.
         assert_eq!(snap.noc_bytes(), metrics.bus_bytes, "{task:?}");
         assert!(!snap.links.is_empty(), "{task:?}: no NoC links recorded");
+    }
+
+    // A stream that ends on a window boundary leaves the end-of-stream
+    // drain to a window with no frames in it; its counters must still
+    // reach the sink. 3000-byte codec blocks do not divide a window's
+    // 32 KiB of samples, so every codec has a partial block to drain.
+    for task in [Task::CompressLz4, Task::CompressLzma, Task::CompressDwtma] {
+        let channels = 8;
+        let config = HaloConfig::small_test(channels).block_bytes(3000);
+        let frames = 4 * config.feature_window_frames();
+        let session = RecordingConfig::new(RegionProfile::arm())
+            .channels(channels)
+            .duration_ms(300)
+            .generate(7);
+        let recorder = Arc::new(Recorder::new(4096).with_sample_rate_hz(30_000));
+        let mut system = HaloSystem::new(task, config).unwrap();
+        system.attach_telemetry(recorder.clone());
+        system
+            .push_block(&session.samples()[..frames * channels])
+            .unwrap();
+        let metrics = system.finalize().unwrap();
+        let snap = recorder.snapshot();
+        let runtime = system.runtime();
+
+        assert_eq!(snap.frames, frames as u64, "{task:?}");
+        assert_eq!(snap.radio_bytes, metrics.radio_bytes, "{task:?}");
+        assert_eq!(snap.pes.len(), runtime.slot_totals().len(), "{task:?}");
+        for (pe, t) in snap.pes.iter().zip(runtime.slot_totals()) {
+            assert_eq!(
+                [
+                    pe.busy_cycles,
+                    pe.stall_cycles,
+                    pe.bytes_in,
+                    pe.bytes_out,
+                    pe.tokens_in,
+                    pe.tokens_out
+                ],
+                [
+                    t.busy_cycles,
+                    t.stall_cycles,
+                    t.bytes_in,
+                    t.bytes_out,
+                    t.tokens_in,
+                    t.tokens_out
+                ],
+                "{task:?}: slot {} counters differ from the runtime's totals",
+                pe.slot
+            );
+        }
+        let mut recorded: Vec<_> = snap
+            .links
+            .iter()
+            .map(|l| (l.from, l.to, l.bytes, l.transfers))
+            .collect();
+        let mut links: Vec<_> = runtime
+            .fabric()
+            .link_traffic()
+            .iter()
+            .map(|l| (l.from.0 as u8, l.to.0 as u8, l.bytes, l.transfers))
+            .collect();
+        recorded.sort_unstable();
+        links.sort_unstable();
+        assert_eq!(recorded, links, "{task:?}: link counters");
     }
 }
 
