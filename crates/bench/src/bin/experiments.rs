@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `--telemetry <out.json>` runs instrumented demo pipelines instead of
-//! (or alongside) the paper artifacts: it prints per-PE counter summaries,
-//! writes a Perfetto-loadable Chrome trace to `<out.json>`, and emits a
-//! machine-readable counter baseline to `BENCH_telemetry.json`.
+//! (or alongside) the paper artifacts: it prints each run's Prometheus
+//! exposition, writes a Perfetto-loadable Chrome trace to `<out.json>`, and
+//! rewrites the committed counter baseline `BENCH_telemetry.json`.
 
 use halo_bench::{ablate, fig4, fig5, fig6, fig7, fig8, fig9, table1, table3, table4, trace};
 

@@ -2,18 +2,21 @@
 //! machine-readable `BENCH_telemetry.json` baseline.
 //!
 //! Runs the seizure-prediction and LZMA-compression pipelines with a
-//! [`Recorder`] attached, prints the plain-text telemetry summary of each,
-//! writes the seizure run's Chrome Trace (load it at `ui.perfetto.dev` or
-//! `chrome://tracing`) to the requested path, and drops
-//! `BENCH_telemetry.json` in the working directory so future changes have
-//! a counter baseline to diff against.
+//! [`Recorder`] attached, prints the Prometheus exposition of each, writes
+//! the seizure run's Chrome Trace (load it at `ui.perfetto.dev` or
+//! `chrome://tracing`) to the requested path, and rewrites the committed
+//! `BENCH_telemetry.json` counter baseline at the workspace root (a unit
+//! test checks the committed file regenerates byte for byte).
 
 use std::sync::Arc;
 
 use halo_core::tasks::seizure;
 use halo_core::{HaloConfig, HaloSystem, Task, TaskMetrics};
 use halo_signal::{Recording, RecordingConfig, RegionProfile};
-use halo_telemetry::{chrome_trace, json, summary, Recorder};
+use halo_telemetry::{chrome_trace, expose, json, Recorder};
+
+/// The demo tasks, in baseline order.
+const TASKS: [Task; 2] = [Task::SeizurePrediction, Task::CompressLzma];
 
 /// A demo scenario for `task`: a config (trained where the task needs it)
 /// and a session recording that exercises the full pipeline.
@@ -53,7 +56,7 @@ fn scenario(task: Task) -> (HaloConfig, Recording) {
     }
 }
 
-fn instrumented_run(task: Task) -> (Arc<Recorder>, TaskMetrics) {
+fn instrumented_run(task: Task) -> (Task, Arc<Recorder>, TaskMetrics) {
     let (config, session) = scenario(task);
     let sample_rate = config.sample_rate_hz;
     let mut system = HaloSystem::new(task, config).expect("system");
@@ -63,7 +66,7 @@ fn instrumented_run(task: Task) -> (Arc<Recorder>, TaskMetrics) {
     // bring-up (switch words, controller cycles) lands in the trace too.
     system.reconfigure(task).expect("reconfigure");
     let metrics = system.process(&session).expect("process");
-    (recorder, metrics)
+    (task, recorder, metrics)
 }
 
 /// One task's entry in `BENCH_telemetry.json`.
@@ -118,18 +121,28 @@ fn task_json(task: Task, recorder: &Recorder, metrics: &TaskMetrics) -> String {
     )
 }
 
+/// The `BENCH_telemetry.json` document for one instrumented run per
+/// task in [`TASKS`] order.
+fn baseline(runs: &[(Task, Arc<Recorder>, TaskMetrics)]) -> String {
+    let entries: Vec<String> = runs
+        .iter()
+        .map(|(task, recorder, metrics)| task_json(*task, recorder, metrics))
+        .collect();
+    let doc = format!("{{\"tasks\":[{}]}}", entries.join(","));
+    json::validate(&doc).expect("baseline must be valid JSON");
+    doc
+}
+
 /// Runs the instrumented demos. Writes the seizure run's Chrome trace to
 /// `trace_path` and the counter baseline to `BENCH_telemetry.json`.
 pub fn run(trace_path: &str) {
     println!("telemetry demo — instrumented pipeline runs\n");
 
-    let mut entries = Vec::new();
-    for task in [Task::SeizurePrediction, Task::CompressLzma] {
-        let (recorder, metrics) = instrumented_run(task);
-        println!("{}", summary::render(&recorder));
-        entries.push(task_json(task, &recorder, &metrics));
-        if task == Task::SeizurePrediction {
-            let trace = chrome_trace::render(&recorder);
+    let runs = TASKS.map(instrumented_run);
+    for (task, recorder, _) in &runs {
+        println!("{}", expose::render(recorder));
+        if *task == Task::SeizurePrediction {
+            let trace = chrome_trace::render(recorder);
             json::validate(&trace).expect("trace must be valid JSON");
             if let Err(e) = std::fs::write(trace_path, &trace) {
                 eprintln!("error: cannot write {trace_path}: {e}");
@@ -142,12 +155,28 @@ pub fn run(trace_path: &str) {
         }
     }
 
-    let doc = format!("{{\"tasks\":[{}]}}", entries.join(","));
-    json::validate(&doc).expect("baseline must be valid JSON");
+    let doc = baseline(&runs);
     let path = crate::workspace_path("BENCH_telemetry.json");
     if let Err(e) = std::fs::write(&path, &doc) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
     println!("wrote {} ({} bytes)", path.display(), doc.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_regenerates_exactly() {
+        let path = crate::workspace_path("BENCH_telemetry.json");
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        assert!(
+            baseline(&TASKS.map(instrumented_run)) == committed,
+            "BENCH_telemetry.json no longer matches the instrumented runs; \
+             regenerate it with `experiments -- --telemetry <trace.json>`"
+        );
+    }
 }

@@ -153,7 +153,6 @@ pub struct HaloSystem {
     switches: usize,
     sink: Arc<dyn TelemetrySink>,
     health: Option<Arc<HealthMonitor>>,
-    continuous: Option<Arc<ContinuousTelemetry>>,
     tracer: Option<Arc<Tracer>>,
     /// Whether [`HaloSystem::attach_profile`] enabled profile reporting
     /// (kept across [`HaloSystem::reconfigure`]).
@@ -199,7 +198,6 @@ impl HaloSystem {
             switches,
             sink: Arc::new(NullSink),
             health: None,
-            continuous: None,
             tracer: None,
             profiled: false,
             block_dispatch: true,
@@ -248,23 +246,15 @@ impl HaloSystem {
         self.health.as_ref()
     }
 
-    /// Attaches a [`ContinuousTelemetry`] layer as the device's telemetry
-    /// sink. The layer decorates its [`HealthMonitor`] — every counter and
-    /// event still reaches the watchdog and flight recorder — while also
-    /// scraping power windows, closed-loop latencies, FIFO depths, and
-    /// radio throughput into its embedded time-series store, judging SLO
-    /// error budgets, and running drift detection. [`HaloSystem::process`]
-    /// flushes the layer (closing the trailing power window and polling
-    /// the SLO/anomaly engines) before it returns.
+    /// Attaches the [`HealthMonitor`] a [`ContinuousTelemetry`] layer is
+    /// installed in, exactly as [`HaloSystem::attach_health`] does. The
+    /// watchdog that judges each window's power, closed-loop latency,
+    /// FIFO depth, and radio throughput also records those readings into
+    /// the layer's time-series store, judges SLO error budgets, and runs
+    /// drift detection. [`HaloSystem::process`] closes the trailing power
+    /// window (polling the SLO/anomaly engines) before it returns.
     pub fn attach_continuous(&mut self, continuous: Arc<ContinuousTelemetry>) {
-        self.health = Some(continuous.monitor().clone());
-        self.continuous = Some(continuous.clone());
-        self.attach_telemetry(continuous);
-    }
-
-    /// The attached continuous-telemetry layer, if any.
-    pub fn continuous(&self) -> Option<&Arc<ContinuousTelemetry>> {
-        self.continuous.as_ref()
+        self.attach_health(continuous.monitor().clone());
     }
 
     /// Attaches a causal tracer to the device: the runtime samples and
@@ -505,16 +495,13 @@ impl HaloSystem {
         if let Some(tracer) = &self.tracer {
             tracer.finalize_all();
         }
-        // Close the trailing power window and poll the SLO/anomaly engines
-        // so end-of-run status and any fail-fast decision below see the
-        // complete series.
-        if let Some(continuous) = &self.continuous {
-            continuous.flush();
-        }
-
-        // Under a fail-fast policy a tripped monitor aborts the run; the
-        // post-mortem dump stays available on the monitor.
+        // Close the trailing power window (judging it and polling the
+        // SLO/anomaly engines) so the fail-fast decision below and
+        // end-of-run status see the complete series. Under a fail-fast
+        // policy a tripped monitor aborts the run; the post-mortem dump
+        // stays available on the monitor.
         if let Some(monitor) = &self.health {
+            monitor.flush();
             if monitor.tripped() && matches!(monitor.config().policy, AlertPolicy::FailFast) {
                 let alert = monitor
                     .status()

@@ -766,7 +766,7 @@ mod tests {
         use crate::tsdb::{ContinuousConfig, ContinuousTelemetry};
         let mon = Arc::new(HealthMonitor::new(populated(), HealthConfig::default()));
         let ct = ContinuousTelemetry::new(mon, ContinuousConfig::default());
-        ct.event(Event {
+        ct.monitor().event(Event {
             frame: 0,
             kind: EventKind::PowerSample {
                 slot: 0,

@@ -7,7 +7,8 @@
 //! [`HealthMonitor`] here *judges* them while the pipeline runs.
 //!
 //! The monitor wraps a [`Recorder`] and implements [`TelemetrySink`] by
-//! forwarding every call, inspecting the event stream on the way through:
+//! forwarding every call, turning each window event on the way through
+//! into one reading against its limit:
 //!
 //! * `PowerSample` events are summed per sampling window and compared to
 //!   the configured power budget.
@@ -18,11 +19,15 @@
 //!
 //! A violated envelope raises a [`HealthAlert`], appends a structured
 //! [`EventKind::Health`] event to the recorder's timeline, and applies the
-//! configured [`AlertPolicy`]. Any *critical* alert (or an explicit
-//! [`HealthMonitor::note_runtime_error`]) latches a post-mortem: a JSON
-//! black-box dump of the last N events, every counter, the fabric
-//! configuration generation, and the active pipeline — everything needed
-//! to reconstruct the device's final moments without a debugger attached.
+//! configured [`AlertPolicy`]. With a
+//! [`ContinuousTelemetry`](crate::ContinuousTelemetry) store installed,
+//! every reading is also recorded with its utilization, and each closed
+//! power window polls the SLO and drift engines. Any *critical* alert (or
+//! an explicit [`HealthMonitor::note_runtime_error`]) latches a
+//! post-mortem: a JSON black-box dump of the recorder's last N events,
+//! every counter, the fabric configuration generation, and the active
+//! pipeline — everything needed to reconstruct the device's final moments
+//! without a debugger attached.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,6 +38,7 @@ use crate::recorder::Recorder;
 use crate::sink::{Counter, Event, EventKind, Scope, Severity, TelemetrySink};
 use crate::span_tree::{span_json, SpanTree};
 use crate::tracing::Tracer;
+use crate::tsdb::{ContinuousState, SeriesKind};
 
 /// Implant-wide power budget in milliwatts (§V-A of the paper; mirrors
 /// `DEVICE_BUDGET_MW` in `halo-power`, restated here so the telemetry
@@ -79,7 +85,8 @@ pub struct HealthConfig {
     pub fifo_watermark: u32,
     /// Radio throughput ceiling, bits per second.
     pub radio_ceiling_bps: f64,
-    /// How many recent events the flight recorder retains for post-mortems.
+    /// How many of the recorder's most recent events a post-mortem embeds
+    /// (bounded by the recorder's own event capacity).
     pub ring_capacity: usize,
     /// What to do when an envelope is violated.
     pub policy: AlertPolicy,
@@ -289,9 +296,6 @@ struct WatchdogState {
     tail_open: bool,
     /// Alert totals by severity: [info, warning, critical].
     severity_counts: [u64; 3],
-    /// Flight-recorder ring of recent events (bounded, oldest evicted).
-    recent: Vec<Event>,
-    recent_head: usize,
     /// Most recent injected faults (bounded, oldest evicted) — embedded in
     /// post-mortems so every failure is attributable to what the chaos
     /// harness did to the device.
@@ -301,6 +305,9 @@ struct WatchdogState {
     faults_detected: u64,
     /// First post-mortem dump, latched until cleared.
     postmortem: Option<String>,
+    /// The store a [`ContinuousTelemetry`](crate::ContinuousTelemetry)
+    /// installed, if any.
+    continuous: Option<ContinuousState>,
 }
 
 /// One remembered fault injection.
@@ -329,12 +336,11 @@ impl WatchdogState {
             alerts_dropped: 0,
             tail_open: false,
             severity_counts: [0; 3],
-            recent: Vec::new(),
-            recent_head: 0,
             recent_faults: Vec::new(),
             faults_injected: 0,
             faults_detected: 0,
             postmortem: None,
+            continuous: None,
         }
     }
 
@@ -347,49 +353,6 @@ impl WatchdogState {
             self.recent_faults.remove(0);
         }
         self.recent_faults.push(note);
-    }
-
-    fn remember(&mut self, event: &Event, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        if self.recent.len() < capacity {
-            self.recent.push(event.clone());
-        } else {
-            self.recent[self.recent_head] = event.clone();
-        }
-        self.recent_head = (self.recent_head + 1) % capacity;
-    }
-
-    /// Recent events oldest-first.
-    fn recent_ordered(&self, capacity: usize) -> Vec<Event> {
-        if self.recent.len() < capacity {
-            self.recent.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.recent.len());
-            out.extend_from_slice(&self.recent[self.recent_head..]);
-            out.extend_from_slice(&self.recent[..self.recent_head]);
-            out
-        }
-    }
-
-    /// Close the power window being accumulated, returning an alert if it
-    /// blew the budget.
-    fn finalize_power(&mut self, budget_mw: f64) -> Option<HealthAlert> {
-        let frame = self.power_frame.take()?;
-        let window_mw = self.power_accum_mw;
-        self.power_accum_mw = 0.0;
-        self.power_windows += 1;
-        if self.worst_window.is_none_or(|(_, w)| window_mw > w) {
-            self.worst_window = Some((frame, window_mw));
-        }
-        (window_mw > budget_mw).then_some(HealthAlert {
-            frame,
-            kind: AlertKind::PowerBudget {
-                window_mw,
-                budget_mw,
-            },
-        })
     }
 
     /// Log `alert`, coalescing it into the most recent retained run when
@@ -428,7 +391,7 @@ impl WatchdogState {
 }
 
 /// Point-in-time health digest — what [`HealthMonitor::status`] returns
-/// and what `summary::render` consumes.
+/// and what `expose::render_health` renders.
 #[derive(Debug, Clone)]
 pub struct HealthStatus {
     /// Worst completed power window: (frame, milliwatts).
@@ -522,15 +485,10 @@ impl HealthMonitor {
     /// Raise an externally evaluated alert through the normal path:
     /// severity counting, run coalescing, timeline event + post-mortem
     /// latch + trace escalation on new runs, fail-fast tripping, and the
-    /// callback policy. This is how the SLO burn-rate engine feeds
-    /// firings into the flight recorder.
+    /// callback policy.
     pub fn raise(&self, alert: HealthAlert) {
-        let mut state = self.state.lock().unwrap();
-        self.raise_locked(&mut state, alert);
-        drop(state);
-        if let AlertPolicy::Callback(cb) = &self.config.policy {
-            cb(&alert);
-        }
+        self.raise_locked(&mut self.state.lock().unwrap(), alert);
+        self.apply_policy(&[alert]);
     }
 
     /// Attaches a causal tracer: critical alerts force-sample the next
@@ -561,16 +519,31 @@ impl HealthMonitor {
         self.tripped.load(Ordering::Relaxed)
     }
 
-    /// Current health digest. Closes any power window still being
-    /// accumulated (all of a window's samples arrive together, so a
-    /// partially summed window only exists between a run's last sample
-    /// and this call).
-    pub fn status(&self) -> HealthStatus {
+    /// Close the power window still being summed: judge it, record it in
+    /// an installed continuous store, and poll the SLO and drift engines.
+    /// All of a window's samples arrive together, so a partially summed
+    /// window only exists between a run's last sample and this call (or
+    /// the first accessor, which flushes too). Idempotent.
+    pub fn flush(&self) {
+        self.flushed(|_| ());
+    }
+
+    /// Run `f` on the state once the pending power window is closed; the
+    /// closed window's alerts get the policy treatment after the lock is
+    /// released.
+    fn flushed<R>(&self, f: impl FnOnce(&mut WatchdogState) -> R) -> R {
+        let mut alerts = Vec::new();
         let mut state = self.state.lock().unwrap();
-        if let Some(alert) = state.finalize_power(self.budget_mw()) {
-            self.raise_locked(&mut state, alert);
-        }
-        HealthStatus {
+        self.close_window(&mut state, &mut alerts);
+        let out = f(&mut state);
+        drop(state);
+        self.apply_policy(&alerts);
+        out
+    }
+
+    /// Current health digest (flushes first).
+    pub fn status(&self) -> HealthStatus {
+        self.flushed(|state| HealthStatus {
             worst_window: state.worst_window,
             power_windows: state.power_windows,
             budget_mw: self.budget_mw(),
@@ -579,7 +552,22 @@ impl HealthMonitor {
             severity_counts: state.severity_counts,
             fabric_generation: state.fabric_generation,
             active_pipeline: state.active_pipeline,
-        }
+        })
+    }
+
+    /// Install `store`: every later window reading feeds it.
+    pub(crate) fn install_continuous(&self, store: ContinuousState) {
+        self.state.lock().unwrap().continuous = Some(store);
+    }
+
+    /// Run `f` on the installed continuous store (flushes first).
+    pub(crate) fn with_continuous<R>(&self, f: impl FnOnce(&ContinuousState) -> R) -> R {
+        self.flushed(|state| {
+            f(state
+                .continuous
+                .as_ref()
+                .expect("installed by ContinuousTelemetry::new"))
+        })
     }
 
     /// The latched post-mortem JSON dump, if a critical alert or runtime
@@ -587,14 +575,8 @@ impl HealthMonitor {
     /// a `span_trees` section holding the most recently completed causal
     /// traces (the escalated post-alert frames, once they have closed).
     pub fn postmortem(&self) -> Option<String> {
-        // Flush any pending power window first — the violating window may
-        // be the run's last.
-        let mut state = self.state.lock().unwrap();
-        if let Some(alert) = state.finalize_power(self.budget_mw()) {
-            self.raise_locked(&mut state, alert);
-        }
-        let base = state.postmortem.clone()?;
-        drop(state);
+        // Flush first — the violating window may be the run's last.
+        let base = self.flushed(|state| state.postmortem.clone())?;
         Some(self.append_span_trees(base))
     }
 
@@ -626,95 +608,110 @@ impl HealthMonitor {
     /// Report a runtime error: latches a post-mortem dump (if none is
     /// latched yet) with `reason` as the cause, timestamped at `frame`.
     pub fn note_runtime_error(&self, reason: &str, frame: u64) {
-        let mut state = self.state.lock().unwrap();
-        if let Some(alert) = state.finalize_power(self.budget_mw()) {
-            self.raise_locked(&mut state, alert);
-        }
-        if state.postmortem.is_none() {
-            state.postmortem = Some(self.render_postmortem(&state, reason, frame));
-        }
+        self.flushed(|state| {
+            if state.postmortem.is_none() {
+                state.postmortem = Some(self.render_postmortem(state, reason, frame));
+            }
+        });
     }
 
     /// Log `alert` (coalescing repeats), append a timeline event when it
-    /// starts a new run, latch a post-mortem on the first critical, and
-    /// trip under fail-fast. Callbacks are returned to the caller to
-    /// invoke *outside* the state lock.
+    /// starts a new run, and on the first critical of a run escalate
+    /// tracing and latch a post-mortem. The policy treatment is the
+    /// caller's, *outside* the state lock.
     fn raise_locked(&self, state: &mut WatchdogState, alert: HealthAlert) {
-        let severity = alert.severity();
-        let new_run = state.log_alert(alert);
-        if new_run {
-            // Repeats of the same condition stay out of the timeline and
-            // flight-recorder ring — one event marks the run's start, the
-            // coalesced log entry carries its extent.
-            let event = Event {
-                frame: alert.frame,
-                kind: EventKind::Health {
-                    name: alert.kind.name(),
-                    severity,
-                    value: alert.kind.value(),
-                    limit: alert.kind.limit(),
-                },
-            };
-            self.recorder.event(event.clone());
-            state.remember(&event, self.config.ring_capacity);
+        if !state.log_alert(alert) {
+            return;
         }
-        if severity == Severity::Critical {
-            if new_run {
-                // Escalate tracing first: the frames right after the
-                // incident are the ones the post-mortem wants span trees
-                // for. Repeats within a run already escalated.
-                if let Some(tracer) = self.tracer.lock().unwrap().clone() {
-                    tracer
-                        .sampler()
-                        .force_next(self.config.escalate_trace_frames);
-                }
-                if state.postmortem.is_none() {
-                    state.postmortem = Some(self.render_postmortem(
-                        state,
-                        &format!("critical alert: {}", alert.kind.name()),
-                        alert.frame,
-                    ));
-                }
-            }
-            if matches!(self.config.policy, AlertPolicy::FailFast) {
-                self.tripped.store(true, Ordering::Relaxed);
+        // Repeats of the same condition stay out of the timeline (and so
+        // out of post-mortems' recent events) — one event marks the run's
+        // start, the coalesced log entry carries its extent.
+        self.recorder.event(Event {
+            frame: alert.frame,
+            kind: EventKind::Health {
+                name: alert.kind.name(),
+                severity: alert.severity(),
+                value: alert.kind.value(),
+                limit: alert.kind.limit(),
+            },
+        });
+        if alert.severity() == Severity::Critical {
+            // Escalate tracing first: the frames right after the incident
+            // are the ones the post-mortem wants span trees for. Repeats
+            // within a run already escalated.
+            self.escalate();
+            if state.postmortem.is_none() {
+                state.postmortem = Some(self.render_postmortem(
+                    state,
+                    &format!("critical alert: {}", alert.kind.name()),
+                    alert.frame,
+                ));
             }
         }
     }
 
-    /// Evaluate one event against the envelopes, returning any alert so
-    /// the callback policy can run without holding the state lock.
-    fn inspect(&self, event: &Event) -> Option<HealthAlert> {
-        let mut state = self.state.lock().unwrap();
-        state.remember(event, self.config.ring_capacity);
-        let alert = match event.kind {
+    /// Force-sample the attached tracer's next frames.
+    fn escalate(&self) {
+        if let Some(tracer) = self.tracer() {
+            tracer
+                .sampler()
+                .force_next(self.config.escalate_trace_frames);
+        }
+    }
+
+    /// The policy treatment, outside the state lock: a critical alert
+    /// trips a fail-fast monitor, and a callback sees every alert.
+    fn apply_policy(&self, alerts: &[HealthAlert]) {
+        for alert in alerts {
+            match &self.config.policy {
+                AlertPolicy::FailFast if alert.severity() == Severity::Critical => {
+                    self.tripped.store(true, Ordering::Relaxed)
+                }
+                AlertPolicy::Callback(cb) => cb(alert),
+                _ => {}
+            }
+        }
+    }
+
+    /// Take in one watched event under the state lock. A window event
+    /// becomes a reading against its limit (see [`Self::judge`]); power
+    /// samples are summed until the next window's first sample closes
+    /// their window.
+    fn inspect(&self, state: &mut WatchdogState, event: &Event, alerts: &mut Vec<HealthAlert>) {
+        let frame = event.frame;
+        let c = &self.config;
+        match event.kind {
             EventKind::PowerSample { milliwatts, .. } => {
-                let mut closed = None;
-                if state.power_frame != Some(event.frame) {
-                    closed = state.finalize_power(self.budget_mw());
-                    state.power_frame = Some(event.frame);
+                if state.power_frame != Some(frame) {
+                    self.close_window(state, alerts);
+                    state.power_frame = Some(frame);
                 }
                 state.power_accum_mw += milliwatts;
-                closed
+                if let Some(store) = &mut state.continuous {
+                    store.last_frame = store.last_frame.max(frame);
+                }
             }
             EventKind::ClosedLoop { latency_frames, .. } => {
-                (latency_frames > self.config.deadline_frames).then_some(HealthAlert {
-                    frame: event.frame,
-                    kind: AlertKind::DeadlineMiss {
+                let deadline_frames = c.deadline_frames;
+                let breach =
+                    (latency_frames > deadline_frames).then_some(AlertKind::DeadlineMiss {
                         latency_frames,
-                        deadline_frames: self.config.deadline_frames,
-                    },
-                })
+                        deadline_frames,
+                    });
+                let reading = (latency_frames as f64, deadline_frames as f64);
+                let series = SeriesKind::ClosedLoopLatencyFrames;
+                self.judge(state, alerts, frame, series, reading, breach);
             }
-            EventKind::FifoWindow { slot, depth, .. } => (depth >= self.config.fifo_watermark)
-                .then_some(HealthAlert {
-                    frame: event.frame,
-                    kind: AlertKind::Backpressure {
-                        slot,
-                        depth,
-                        watermark: self.config.fifo_watermark,
-                    },
-                }),
+            EventKind::FifoWindow { slot, depth, .. } => {
+                let watermark = c.fifo_watermark;
+                let breach = (depth >= watermark).then_some(AlertKind::Backpressure {
+                    slot,
+                    depth,
+                    watermark,
+                });
+                let reading = (depth as f64, watermark as f64);
+                self.judge(state, alerts, frame, SeriesKind::FifoDepth, reading, breach);
+            }
             EventKind::RadioWindow { frames, bytes } => {
                 let window_s = frames as f64 / self.recorder.sample_rate_hz() as f64;
                 let bits_per_s = if window_s > 0.0 {
@@ -722,47 +719,88 @@ impl HealthMonitor {
                 } else {
                     0.0
                 };
-                (bits_per_s > self.config.radio_ceiling_bps).then_some(HealthAlert {
-                    frame: event.frame,
-                    kind: AlertKind::RadioThroughput {
-                        bits_per_s,
-                        ceiling_bps: self.config.radio_ceiling_bps,
-                    },
-                })
+                let ceiling_bps = c.radio_ceiling_bps;
+                let breach = (bits_per_s > ceiling_bps).then_some(AlertKind::RadioThroughput {
+                    bits_per_s,
+                    ceiling_bps,
+                });
+                let reading = (bits_per_s, ceiling_bps);
+                self.judge(state, alerts, frame, SeriesKind::RadioBps, reading, breach);
             }
-            EventKind::SwitchProgram { generation, .. } => {
-                state.fabric_generation = generation;
-                None
-            }
-            EventKind::Marker { name } => {
-                state.active_pipeline = name;
-                None
-            }
+            EventKind::SwitchProgram { generation, .. } => state.fabric_generation = generation,
+            EventKind::Marker { name } => state.active_pipeline = name,
             EventKind::Fault {
                 kind,
                 slot,
                 detail,
                 detected,
-            } => {
-                state.note_fault(FaultNote {
-                    frame: event.frame,
-                    kind,
-                    slot,
-                    detail,
-                    detected,
-                });
-                None
-            }
-            _ => None,
-        };
-        if let Some(alert) = alert {
-            self.raise_locked(&mut state, alert);
+            } => state.note_fault(FaultNote {
+                frame,
+                kind,
+                slot,
+                detail,
+                detected,
+            }),
+            _ => {}
         }
-        alert
+    }
+
+    /// Close the power window being summed, if any: judge its total
+    /// against the live budget, then poll the continuous store's engines
+    /// at its frame.
+    fn close_window(&self, state: &mut WatchdogState, alerts: &mut Vec<HealthAlert>) {
+        let Some(frame) = state.power_frame.take() else {
+            return;
+        };
+        let window_mw = std::mem::take(&mut state.power_accum_mw);
+        state.power_windows += 1;
+        if state.worst_window.is_none_or(|(_, w)| window_mw > w) {
+            state.worst_window = Some((frame, window_mw));
+        }
+        let budget_mw = self.budget_mw();
+        let breach = (window_mw > budget_mw).then_some(AlertKind::PowerBudget {
+            window_mw,
+            budget_mw,
+        });
+        let reading = (window_mw, budget_mw);
+        self.judge(state, alerts, frame, SeriesKind::PowerMw, reading, breach);
+        let Some((firings, drifted)) = state.continuous.as_mut().map(|c| c.poll(frame)) else {
+            return;
+        };
+        for alert in firings {
+            self.raise_locked(state, alert);
+            alerts.push(alert);
+        }
+        if drifted {
+            self.escalate();
+        }
+    }
+
+    /// One window reading, `(value, limit)`: recorded into `series` with
+    /// its utilization when a continuous store is installed, and raised
+    /// as `breach` when it broke the limit.
+    fn judge(
+        &self,
+        state: &mut WatchdogState,
+        alerts: &mut Vec<HealthAlert>,
+        frame: u64,
+        series: SeriesKind,
+        (value, limit): (f64, f64),
+        breach: Option<AlertKind>,
+    ) {
+        if let Some(store) = &mut state.continuous {
+            store.last_frame = store.last_frame.max(frame);
+            store.record(series, frame, value, limit);
+        }
+        if let Some(kind) = breach {
+            let alert = HealthAlert { frame, kind };
+            self.raise_locked(state, alert);
+            alerts.push(alert);
+        }
     }
 
     /// Render the black-box dump: cause, envelope state, every counter,
-    /// latency digests, and the recent-event ring.
+    /// latency digests, and the tail of the recorder's event ring.
     fn render_postmortem(&self, state: &WatchdogState, reason: &str, frame: u64) -> String {
         let snap = self.recorder.snapshot();
         let mut out = String::with_capacity(4096);
@@ -873,8 +911,9 @@ impl HealthMonitor {
             .collect();
         out.push_str(&faults.join(","));
         out.push_str("],\"recent_events\":[");
-        let events: Vec<String> = state
-            .recent_ordered(self.config.ring_capacity)
+        let events: Vec<String> = self
+            .recorder
+            .recent_events(self.config.ring_capacity)
             .iter()
             .map(event_json)
             .collect();
@@ -993,12 +1032,24 @@ impl TelemetrySink for HealthMonitor {
     }
 
     fn event(&self, event: Event) {
-        self.recorder.event(event.clone());
-        if let Some(alert) = self.inspect(&event) {
-            if let AlertPolicy::Callback(cb) = &self.config.policy {
-                cb(&alert);
-            }
+        // Spans, PE and NoC windows, and the rest carry nothing the
+        // watchdog takes in: they go straight to the recorder, off its lock.
+        if !matches!(
+            event.kind,
+            EventKind::PowerSample { .. }
+                | EventKind::ClosedLoop { .. }
+                | EventKind::FifoWindow { .. }
+                | EventKind::RadioWindow { .. }
+                | EventKind::SwitchProgram { .. }
+                | EventKind::Marker { .. }
+                | EventKind::Fault { .. }
+        ) {
+            return self.recorder.event(event);
         }
+        self.recorder.event(event.clone());
+        let mut alerts = Vec::new();
+        self.inspect(&mut self.state.lock().unwrap(), &event, &mut alerts);
+        self.apply_policy(&alerts);
     }
 
     fn latency(&self, scope: Scope, nanos: u64) {
@@ -1007,6 +1058,17 @@ impl TelemetrySink for HealthMonitor {
 
     fn latency_batch(&self, scope: Scope, samples: &[u64]) {
         self.recorder.latency_batch(scope, samples);
+        let (Scope::System, Some(&max)) = (scope, samples.iter().max()) else {
+            return;
+        };
+        // A continuous store keeps each window's worst frame latency,
+        // stamped with the latest window event's frame.
+        if let Some(store) = &mut self.state.lock().unwrap().continuous {
+            let frame = store.last_frame;
+            store
+                .tsdb
+                .record(SeriesKind::FrameLatencyNs, frame, max as f64);
+        }
     }
 }
 

@@ -17,19 +17,22 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with one
 //!   track per active PE, a NoC bandwidth track, and per-clock-domain power
 //!   timeline tracks.
-//! * [`summary::render`] — a plain-text table for terminals and logs.
-//! * [`expose::render`] — Prometheus text-format exposition for scraping
-//!   or CI diffing.
+//! * [`expose::render`] — Prometheus text-format exposition for scraping,
+//!   CI diffing, or reading in a terminal.
 //!
 //! Layered on top of the [`Recorder`] sits the *active* side of the
-//! observability stack: [`HealthMonitor`] wraps a recorder, watches the
-//! event stream for safety-envelope violations (power budget, closed-loop
-//! deadline, FIFO backpressure, radio ceiling), raises structured
-//! [`HealthAlert`]s under a configurable [`AlertPolicy`], and latches a
-//! black-box post-mortem JSON dump on any critical alert or runtime
-//! error. Latency distributions (end-to-end frame latency per pipeline,
-//! window service time per PE) are kept in fixed-size log-bucketed
-//! [`LogHistogram`]s with p50/p90/p99/max digests in every snapshot.
+//! observability stack: [`HealthMonitor`] wraps a recorder, judges each
+//! sampling window's readings against the safety envelopes (power budget,
+//! closed-loop deadline, FIFO backpressure, radio ceiling), raises
+//! structured [`HealthAlert`]s under a configurable [`AlertPolicy`], and
+//! latches a black-box post-mortem JSON dump on any critical alert or
+//! runtime error. A [`ContinuousTelemetry`] store installed in the monitor
+//! keeps those readings as history ([`tsdb`]) and judges SLO burn rates
+//! and drift over them, in the same pass (sink chain `Runtime →
+//! HealthMonitor → Recorder`). Latency distributions (end-to-end frame
+//! latency per pipeline, window service time per PE) are kept in
+//! fixed-size log-bucketed [`LogHistogram`]s with p50/p90/p99/max digests
+//! in every snapshot.
 //!
 //! Orthogonal to the aggregate counters sits *causal tracing*
 //! ([`tracing`]): a deterministic [`TraceSampler`] tags selected input
@@ -82,7 +85,6 @@ pub mod replay;
 pub mod sink;
 pub mod slo;
 pub mod span_tree;
-pub mod summary;
 pub mod tracing;
 pub mod tsdb;
 

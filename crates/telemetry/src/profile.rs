@@ -31,7 +31,6 @@
 //!   inferno / speedscope / `flamegraph.pl`.
 //! * [`CycleProfile::render_exposition`] — `halo_profile_*` Prometheus
 //!   families.
-//! * [`CycleProfile::render_summary`] — a top-k table for terminals.
 //! * [`ProfileDiff::to_json`] — per-frame-normalized A/B deltas, used by
 //!   the bench regression sentinel to name the regressed frame.
 
@@ -271,30 +270,6 @@ impl CycleProfile {
             row.slot,
             row.phase.label()
         )
-    }
-
-    /// Top-`k` self-cycle frames as a plain-text table.
-    pub fn render_summary(&self, k: usize) -> String {
-        let total = self.total_cycles().max(1);
-        let mut rows: Vec<&ProfileRow> = self.rows.iter().filter(|r| r.cycles > 0).collect();
-        rows.sort_by(|a, b| (b.cycles, a.frame()).cmp(&(a.cycles, b.frame())));
-        let mut out = format!(
-            "profile: device={} frames={} total_cycles={} energy={:.3} uJ\n",
-            self.device,
-            self.frames,
-            self.total_cycles(),
-            self.total_energy_uj()
-        );
-        for row in rows.iter().take(k) {
-            out.push_str(&format!(
-                "  {:6.2}%  {:>14} cycles  {:8.3} uJ  {}\n",
-                100.0 * row.cycles as f64 / total as f64,
-                row.cycles,
-                row.energy_uj,
-                row.frame()
-            ));
-        }
-        out
     }
 
     /// Serialize to a flat JSON object (used by the bench baseline and

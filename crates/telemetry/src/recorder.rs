@@ -126,16 +126,13 @@ impl EventRing {
         self.head = (self.head + 1) % self.capacity;
     }
 
-    /// Events in arrival order (oldest first).
-    fn ordered(&self) -> Vec<Event> {
-        if self.buf.len() < self.capacity {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.buf.len());
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
-        }
+    /// The newest `n` events in arrival order (oldest first).
+    fn tail(&self, n: usize) -> Vec<Event> {
+        let len = self.buf.len();
+        // Until the ring wraps `head == len`, so the oldest event is at 0.
+        (len - n.min(len)..len)
+            .map(|i| self.buf[(self.head + i) % len].clone())
+            .collect()
     }
 }
 
@@ -274,9 +271,15 @@ impl Recorder {
     /// producers may emit events out of order, e.g. a closed-loop scan
     /// that timestamps detections after the streaming run finishes).
     pub fn events(&self) -> Vec<Event> {
-        let mut events = self.ring.lock().unwrap().ordered();
+        let mut events = self.ring.lock().unwrap().tail(usize::MAX);
         events.sort_by_key(|e| e.frame);
         events
+    }
+
+    /// The newest `n` retained events in arrival order — the flight
+    /// recorder's tail that post-mortems embed.
+    pub fn recent_events(&self, n: usize) -> Vec<Event> {
+        self.ring.lock().unwrap().tail(n)
     }
 
     /// Events dropped because the ring was full.

@@ -11,7 +11,7 @@
 //! 100% of end-to-end latency.
 //!
 //! [`CriticalPathSummary::from_traces`] aggregates attribution across many
-//! traces so `summary`/`expose` can report lines like
+//! traces so `expose` can report lines like
 //! `p99 dominated by FFT->XCOR fifo_wait, 61%`.
 
 use crate::json;

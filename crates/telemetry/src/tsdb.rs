@@ -10,8 +10,8 @@
 //!   points plus two fixed-capacity rings of downsampled buckets
 //!   (raw → ~10 s → ~1 m by default). Nothing grows after construction;
 //!   old data is evicted, never reallocated.
-//! * **Window-granular.** The [`ContinuousTelemetry`] sink only reacts to
-//!   events that already arrive at sampling-window cadence (power windows,
+//! * **Window-granular.** The [`HealthMonitor`] feeds the store only the
+//!   readings it already judges at sampling-window cadence (power windows,
 //!   FIFO windows, radio windows, closed-loop completions), so the hot
 //!   per-frame path is untouched and the attached overhead stays ≤2%
 //!   (proven by the `continuous_telemetry` A/B section in
@@ -21,19 +21,17 @@
 //!   at construction and iterated in declaration order, and the JSON is
 //!   hand-rolled (see [`crate::json`]).
 //!
-//! Alongside each absolute series (`power_mw`, `fifo_depth`, ...) the sink
-//! records a *utilization* series — observed value divided by the live
-//! envelope limit — so the [`crate::slo`] engine can treat every envelope
-//! as the same dimensionless SLI, and a budget change (brownout) moves the
-//! utilization series even when the raw draw is constant.
+//! Alongside each absolute series (`power_mw`, `fifo_depth`, ...) the
+//! monitor records a *utilization* series — observed value divided by
+//! the live envelope limit — so the [`crate::slo`] engine can treat every
+//! envelope as the same dimensionless SLI, and a budget change (brownout)
+//! moves the utilization series even when the raw draw is constant.
 
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::anomaly::{AnomalyDetector, Detection};
 use crate::health::{AlertKind, HealthAlert, HealthMonitor};
 use crate::json;
-use crate::sink::{Counter, Event, EventKind, Scope, TelemetrySink};
 use crate::slo::{SloEngine, SloStatus};
 
 /// Number of distinct series a [`Tsdb`] holds (one per [`SeriesKind`]).
@@ -474,86 +472,47 @@ pub struct ContinuousStatus {
     pub anomalies_dropped: u64,
 }
 
-struct ContinuousState {
-    tsdb: Tsdb,
+/// The store a [`ContinuousTelemetry`] installs in its monitor: the tsdb
+/// and the engines that judge it. It lives under the monitor's state
+/// lock, which feeds it every window reading.
+pub(crate) struct ContinuousState {
+    pub(crate) tsdb: Tsdb,
     slo: SloEngine,
     anomaly: AnomalyDetector,
-    /// Frame whose `PowerSample`s are being summed, mirroring the
-    /// monitor's own window accumulation.
-    power_frame: Option<u64>,
-    power_accum_mw: f64,
-    /// Most recent event frame — the timestamp given to latency batches,
-    /// which arrive without one.
-    last_frame: u64,
+    /// Most recent window-event frame — the timestamp given to latency
+    /// batches, which arrive without one.
+    pub(crate) last_frame: u64,
 }
 
-/// The continuous-telemetry sink: decorates a [`HealthMonitor`] (chain
-/// `Runtime → ContinuousTelemetry → HealthMonitor → Recorder`), scraping
-/// window-granular events into a [`Tsdb`], polling the SLO burn-rate
-/// engine each closed power window (firings feed
-/// [`HealthMonitor::raise`], so they reach the flight recorder and
-/// post-mortems like any envelope violation), and running anomaly
-/// detection over the stored series (fresh detections escalate the
-/// attached tracer's sampling via `force_next`, same as critical alerts).
-pub struct ContinuousTelemetry {
-    monitor: Arc<HealthMonitor>,
-    state: Mutex<ContinuousState>,
-}
-
-impl fmt::Debug for ContinuousTelemetry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ContinuousTelemetry")
-            .finish_non_exhaustive()
-    }
-}
-
-impl ContinuousTelemetry {
-    /// A continuous layer observing through (and forwarding to) `monitor`.
-    pub fn new(monitor: Arc<HealthMonitor>, config: ContinuousConfig) -> Self {
+impl ContinuousState {
+    fn new(config: ContinuousConfig) -> Self {
         Self {
-            monitor,
-            state: Mutex::new(ContinuousState {
-                tsdb: Tsdb::new(&config.tsdb),
-                slo: SloEngine::new(config.slo),
-                anomaly: AnomalyDetector::new(config.anomaly),
-                power_frame: None,
-                power_accum_mw: 0.0,
-                last_frame: 0,
-            }),
+            tsdb: Tsdb::new(&config.tsdb),
+            slo: SloEngine::new(config.slo),
+            anomaly: AnomalyDetector::new(config.anomaly),
+            last_frame: 0,
         }
     }
 
-    /// The wrapped health monitor.
-    pub fn monitor(&self) -> &Arc<HealthMonitor> {
-        &self.monitor
+    /// Record a window reading into `series` and its utilization (value
+    /// over `limit`, 0 without a limit) into the series that follows it in
+    /// [`SeriesKind::ALL`].
+    pub(crate) fn record(&mut self, series: SeriesKind, frame: u64, value: f64, limit: f64) {
+        self.tsdb.record(series, frame, value);
+        let utilization = if limit > 0.0 { value / limit } else { 0.0 };
+        self.tsdb
+            .record(SeriesKind::ALL[series.index() + 1], frame, utilization);
     }
 
-    /// Close the pending power window, if any: record the power and
-    /// power-utilization points and run one SLO + anomaly poll.
-    fn close_power_window(&self, state: &mut ContinuousState) {
-        let Some(frame) = state.power_frame.take() else {
-            return;
-        };
-        let window_mw = state.power_accum_mw;
-        state.power_accum_mw = 0.0;
-        state.tsdb.record(SeriesKind::PowerMw, frame, window_mw);
-        let budget = self.monitor.budget_mw();
-        let utilization = if budget > 0.0 {
-            window_mw / budget
-        } else {
-            0.0
-        };
-        state
-            .tsdb
-            .record(SeriesKind::PowerUtilization, frame, utilization);
-        self.poll_engines(state, frame);
-    }
-
-    /// One evaluation pass: burn-rate alerts raise through the monitor,
-    /// fresh anomaly detections escalate trace sampling.
-    fn poll_engines(&self, state: &mut ContinuousState, now: u64) {
-        for firing in state.slo.poll(&state.tsdb, now) {
-            self.monitor.raise(HealthAlert {
+    /// One evaluation pass at a closed power window: the burn-rate
+    /// engine's firings as alerts, and whether drift detection flagged
+    /// anything new.
+    pub(crate) fn poll(&mut self, now: u64) -> (Vec<HealthAlert>, bool) {
+        let firings = self
+            .slo
+            .poll(&self.tsdb, now)
+            .into_iter()
+            .map(|firing| HealthAlert {
                 frame: now,
                 kind: AlertKind::SloBurnRate {
                     objective: firing.objective,
@@ -562,181 +521,78 @@ impl ContinuousTelemetry {
                     threshold: firing.threshold,
                 },
             });
-        }
-        if state.anomaly.poll(&state.tsdb) > 0 {
-            if let Some(tracer) = self.monitor.tracer() {
-                tracer
-                    .sampler()
-                    .force_next(self.monitor.config().escalate_trace_frames);
-            }
-        }
+        (firings.collect(), self.anomaly.poll(&self.tsdb) > 0)
     }
 
-    /// Whether [`Self::observe`] scrapes this event kind at all. Checked
-    /// before taking the state lock: windows emit several event kinds the
-    /// layer ignores (per-PE activity, NoC traffic, switch programs), and
-    /// those must not pay for the mutex.
-    fn scrapes(event: &Event) -> bool {
-        matches!(
-            event.kind,
-            EventKind::PowerSample { .. }
-                | EventKind::ClosedLoop { .. }
-                | EventKind::FifoWindow { .. }
-                | EventKind::RadioWindow { .. }
-        )
-    }
-
-    fn observe(&self, event: &Event) {
-        let mut state = self.state.lock().unwrap();
-        state.last_frame = state.last_frame.max(event.frame);
-        match event.kind {
-            EventKind::PowerSample { milliwatts, .. } => {
-                if state.power_frame != Some(event.frame) {
-                    self.close_power_window(&mut state);
-                    state.power_frame = Some(event.frame);
-                }
-                state.power_accum_mw += milliwatts;
-            }
-            EventKind::ClosedLoop { latency_frames, .. } => {
-                let deadline = self.monitor.config().deadline_frames;
-                state.tsdb.record(
-                    SeriesKind::ClosedLoopLatencyFrames,
-                    event.frame,
-                    latency_frames as f64,
-                );
-                let utilization = if deadline > 0 {
-                    latency_frames as f64 / deadline as f64
-                } else {
-                    0.0
-                };
-                state
-                    .tsdb
-                    .record(SeriesKind::DeadlineUtilization, event.frame, utilization);
-            }
-            EventKind::FifoWindow { depth, .. } => {
-                let watermark = self.monitor.config().fifo_watermark;
-                state
-                    .tsdb
-                    .record(SeriesKind::FifoDepth, event.frame, depth as f64);
-                let utilization = if watermark > 0 {
-                    depth as f64 / watermark as f64
-                } else {
-                    0.0
-                };
-                state
-                    .tsdb
-                    .record(SeriesKind::FifoUtilization, event.frame, utilization);
-            }
-            EventKind::RadioWindow { frames, bytes } => {
-                let window_s = frames as f64 / self.monitor.recorder().sample_rate_hz() as f64;
-                let bits_per_s = if window_s > 0.0 {
-                    bytes as f64 * 8.0 / window_s
-                } else {
-                    0.0
-                };
-                let ceiling = self.monitor.config().radio_ceiling_bps;
-                state
-                    .tsdb
-                    .record(SeriesKind::RadioBps, event.frame, bits_per_s);
-                let utilization = if ceiling > 0.0 {
-                    bits_per_s / ceiling
-                } else {
-                    0.0
-                };
-                state
-                    .tsdb
-                    .record(SeriesKind::RadioUtilization, event.frame, utilization);
-            }
-            _ => {}
+    fn status(&self) -> ContinuousStatus {
+        ContinuousStatus {
+            series: SeriesKind::ALL
+                .iter()
+                .map(|kind| {
+                    let s = self.tsdb.series(*kind);
+                    (*kind, s.total(), s.retained(), s.latest())
+                })
+                .collect(),
+            slo: self.slo.status(),
+            detections: self.anomaly.detections().to_vec(),
+            anomalies_total: self.anomaly.total(),
+            anomalies_dropped: self.anomaly.dropped(),
         }
     }
+}
 
-    /// Flush the pending power window and run a final engine poll, so
-    /// accessors reflect a run's last (possibly partial) window. Idempotent
-    /// — a second flush with no new data changes nothing, which keeps
-    /// repeated snapshots byte-identical.
+/// The continuous-telemetry layer: a time-series store, SLO burn-rate
+/// engine and drift detector that live inside a [`HealthMonitor`]. The
+/// monitor stays the device's sink (chain `Runtime → HealthMonitor →
+/// Recorder`; attach it with `HaloSystem::attach_continuous`). Each window
+/// reading it judges goes into the [`Tsdb`] with its utilization, and each
+/// closed power window polls the engines: burn-rate firings are raised
+/// like any envelope violation, so they reach the flight recorder and
+/// post-mortems, and fresh drift detections escalate the attached
+/// tracer's sampling via `force_next`, same as critical alerts. This
+/// handle installs the store and reads it back.
+#[derive(Debug)]
+pub struct ContinuousTelemetry {
+    monitor: Arc<HealthMonitor>,
+}
+
+impl ContinuousTelemetry {
+    /// A continuous layer installed in (and fed by) `monitor`.
+    pub fn new(monitor: Arc<HealthMonitor>, config: ContinuousConfig) -> Self {
+        monitor.install_continuous(ContinuousState::new(config));
+        Self { monitor }
+    }
+
+    /// The monitor that feeds the store.
+    pub fn monitor(&self) -> &Arc<HealthMonitor> {
+        &self.monitor
+    }
+
+    /// Close the monitor's pending power window ([`HealthMonitor::flush`]),
+    /// so accessors reflect a run's last (possibly partial) window.
+    /// Idempotent — a second flush with no new data changes nothing,
+    /// which keeps repeated snapshots byte-identical.
     pub fn flush(&self) {
-        let mut state = self.state.lock().unwrap();
-        self.close_power_window(&mut state);
+        self.monitor.flush();
     }
 
     /// The deterministic JSON dump of every stored series (flushes first).
     pub fn snapshot_json(&self) -> String {
         let sample_rate = self.monitor.recorder().sample_rate_hz();
-        let mut state = self.state.lock().unwrap();
-        self.close_power_window(&mut state);
-        state.tsdb.snapshot_json(sample_rate)
+        self.with_tsdb(|tsdb| tsdb.snapshot_json(sample_rate))
     }
 
     /// Run `f` against the store (flushes first). The tsdb cannot be
-    /// handed out by reference — it lives behind the sink's mutex — so
+    /// handed out by reference — it lives behind the monitor's mutex — so
     /// queries go through this scoped accessor.
     pub fn with_tsdb<R>(&self, f: impl FnOnce(&Tsdb) -> R) -> R {
-        let mut state = self.state.lock().unwrap();
-        self.close_power_window(&mut state);
-        f(&state.tsdb)
+        self.monitor.with_continuous(|c| f(&c.tsdb))
     }
 
     /// Point-in-time digest of series totals, SLO state, and anomaly
     /// detections (flushes first).
     pub fn status(&self) -> ContinuousStatus {
-        let mut state = self.state.lock().unwrap();
-        self.close_power_window(&mut state);
-        ContinuousStatus {
-            series: SeriesKind::ALL
-                .iter()
-                .map(|kind| {
-                    let s = state.tsdb.series(*kind);
-                    (*kind, s.total(), s.retained(), s.latest())
-                })
-                .collect(),
-            slo: state.slo.status(),
-            detections: state.anomaly.detections().to_vec(),
-            anomalies_total: state.anomaly.total(),
-            anomalies_dropped: state.anomaly.dropped(),
-        }
-    }
-}
-
-impl TelemetrySink for ContinuousTelemetry {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn declare_pe(&self, slot: u8, name: &'static str) {
-        self.monitor.declare_pe(slot, name);
-    }
-
-    fn add(&self, scope: Scope, counter: Counter, delta: u64) {
-        self.monitor.add(scope, counter, delta);
-    }
-
-    fn hwm(&self, scope: Scope, counter: Counter, value: u64) {
-        self.monitor.hwm(scope, counter, value);
-    }
-
-    fn event(&self, event: Event) {
-        self.monitor.event(event.clone());
-        if Self::scrapes(&event) {
-            self.observe(&event);
-        }
-    }
-
-    fn latency(&self, scope: Scope, nanos: u64) {
-        self.monitor.latency(scope, nanos);
-    }
-
-    fn latency_batch(&self, scope: Scope, samples: &[u64]) {
-        self.monitor.latency_batch(scope, samples);
-        if scope == Scope::System {
-            if let Some(&max) = samples.iter().max() {
-                let mut state = self.state.lock().unwrap();
-                let frame = state.last_frame;
-                state
-                    .tsdb
-                    .record(SeriesKind::FrameLatencyNs, frame, max as f64);
-            }
-        }
+        self.monitor.with_continuous(ContinuousState::status)
     }
 }
 
@@ -745,6 +601,7 @@ mod tests {
     use super::*;
     use crate::health::HealthConfig;
     use crate::recorder::Recorder;
+    use crate::sink::{Event, EventKind, TelemetrySink};
 
     fn small_config() -> TsdbConfig {
         TsdbConfig {
@@ -849,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn continuous_sink_scrapes_power_windows_and_utilization() {
+    fn monitor_records_power_windows_and_utilization() {
         let recorder = Arc::new(Recorder::new(256).with_sample_rate_hz(30_000));
         let monitor = Arc::new(HealthMonitor::new(
             recorder,
@@ -861,7 +718,7 @@ mod tests {
         let ct = ContinuousTelemetry::new(monitor, ContinuousConfig::default());
         for frame in [0u64, 300] {
             for slot in 0..2u8 {
-                ct.event(Event {
+                ct.monitor().event(Event {
                     frame,
                     kind: EventKind::PowerSample {
                         slot,
@@ -879,7 +736,7 @@ mod tests {
             let util = db.series(SeriesKind::PowerUtilization);
             assert!((util.latest().unwrap().value - 0.5).abs() < 1e-12);
         });
-        // The monitor behind the sink saw the same windows.
+        // The monitor judged the same windows it stored.
         assert_eq!(ct.monitor().status().power_windows, 2);
     }
 
@@ -888,7 +745,7 @@ mod tests {
         let recorder = Arc::new(Recorder::new(64));
         let monitor = Arc::new(HealthMonitor::new(recorder, HealthConfig::default()));
         let ct = ContinuousTelemetry::new(monitor, ContinuousConfig::default());
-        ct.event(Event {
+        ct.monitor().event(Event {
             frame: 0,
             kind: EventKind::PowerSample {
                 slot: 0,

@@ -20,7 +20,7 @@ use halo::core::tasks::seizure;
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::signal::{RecordingConfig, RegionProfile};
 use halo::telemetry::{
-    expose, json, summary, AlertKind, AlertPolicy, HealthConfig, HealthMonitor, Recorder,
+    expose, json, AlertKind, AlertPolicy, HealthConfig, HealthMonitor, Recorder,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -102,10 +102,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&postmortem_path, &dump)?;
     println!("wrote {} ({} bytes)", postmortem_path.display(), dump.len());
 
-    // --- Text summary + Prometheus exposition ---
-    println!("\n{}", summary::render(monitor.recorder()));
+    // --- Prometheus exposition ---
     let exposition = expose::render_health(&monitor);
     assert!(exposition.contains("halo_frame_latency_ns_count"));
+    println!("\n{exposition}");
     let exposition_path = out_dir.join("exposition.prom");
     std::fs::write(&exposition_path, &exposition)?;
     println!(

@@ -56,8 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(profile.frames, metrics.frames);
 
-    // Top-5 self-cycle frames — the terminal verdict.
-    println!("{}", profile.render_summary(5));
+    let exposition = profile.render_exposition();
+    assert!(exposition.contains("halo_profile_cycles_total"));
+    assert!(exposition.contains("halo_profile_energy_microjoules"));
+    println!("{exposition}");
 
     // Annotate the dominant frame with its cost-model anchor: the frame
     // path names the PE, and `PeKind::from_name` maps it back to the
@@ -93,9 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         folded.lines().count()
     );
 
-    let exposition = profile.render_exposition();
-    assert!(exposition.contains("halo_profile_cycles_total"));
-    assert!(exposition.contains("halo_profile_energy_microjoules"));
     let prom_path = out_dir.join("profile.prom");
     std::fs::write(&prom_path, &exposition)?;
     println!("wrote {} ({} bytes)", prom_path.display(), exposition.len());

@@ -28,8 +28,8 @@ use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::faults::BrownoutWindow;
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
 use halo::telemetry::{
-    expose, json, summary, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry,
-    HealthConfig, HealthMonitor, Recorder, Severity, SloConfig, TsdbConfig,
+    expose, json, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry, HealthConfig,
+    HealthMonitor, Recorder, Severity, SloConfig, TsdbConfig,
 };
 
 const CHANNELS: usize = 8;
@@ -212,7 +212,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Continuous-layer state: series, burn rates, anomalies ---
     let cs = continuous.status();
-    println!("\n{}", summary::render_continuous(&cs));
+    let exposition = expose::render_continuous(&cs);
+    assert!(exposition.contains("halo_slo_burn_rate"));
+    println!("\n{exposition}");
 
     std::fs::create_dir_all(&out_dir)?;
     let snapshot = continuous.snapshot_json();
@@ -225,8 +227,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.len()
     );
 
-    let exposition = expose::render_continuous(&cs);
-    assert!(exposition.contains("halo_slo_burn_rate"));
     let prom_path = out_dir.join("continuous.prom");
     std::fs::write(&prom_path, &exposition)?;
     println!("wrote {} ({} bytes)", prom_path.display(), exposition.len());

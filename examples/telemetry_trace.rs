@@ -1,25 +1,29 @@
 //! Minimal telemetry walkthrough: instrument a compression pipeline,
-//! print the counter summary, and export a Perfetto-loadable trace.
+//! print the counter exposition, and export a Perfetto-loadable trace.
 //!
 //! ```text
-//! cargo run --release --example telemetry_trace [out.json]
+//! cargo run --release --example telemetry_trace [-- <out.json>]
 //! ```
 //!
-//! Open the written file at <https://ui.perfetto.dev> (or
+//! The trace goes to `<out.json>` (default
+//! `target/telemetry_trace/trace.json` — generated artifacts stay out of
+//! the repository). Open it at <https://ui.perfetto.dev> (or
 //! `chrome://tracing`): one track per processing element with its busy
 //! windows, a counter track for NoC traffic, and per-clock-domain power
 //! timelines.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::signal::{RecordingConfig, RegionProfile};
-use halo::telemetry::{chrome_trace, summary, Recorder};
+use halo::telemetry::{chrome_trace, expose, Recorder};
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "telemetry_trace.json".to_string());
+    let out = std::env::args().nth(1).map_or_else(
+        || PathBuf::from("target/telemetry_trace/trace.json"),
+        PathBuf::from,
+    );
 
     let channels = 8;
     let config = HaloConfig::small_test(channels).channels(channels);
@@ -37,7 +41,7 @@ fn main() {
         .generate(42);
     let metrics = system.process(&recording).unwrap();
 
-    println!("{}", summary::render(&recorder));
+    println!("{}", expose::render(&recorder));
     println!(
         "compression ratio {:.2}, NoC bus utilization {:.4}%",
         metrics.compression_ratio().unwrap_or(1.0),
@@ -45,9 +49,13 @@ fn main() {
     );
 
     let trace = chrome_trace::render(&recorder);
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir).unwrap();
+    }
     std::fs::write(&out, &trace).unwrap();
     println!(
-        "wrote {out} ({} bytes) — open at ui.perfetto.dev",
+        "wrote {} ({} bytes) — open at ui.perfetto.dev",
+        out.display(),
         trace.len()
     );
 }

@@ -24,7 +24,7 @@ use halo::core::tasks::seizure;
 use halo::core::{trace, HaloConfig, HaloSystem, Task};
 use halo::signal::{RecordingConfig, RegionProfile};
 use halo::telemetry::{
-    chrome_trace, expose, json, summary, CriticalPathSummary, Recorder, SpanTree, TraceLog, Tracer,
+    chrome_trace, expose, json, CriticalPathSummary, Recorder, SpanTree, TraceLog, Tracer,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,7 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     let agg = CriticalPathSummary::from_traces(&trees);
-    println!("{}", summary::render_tracing(&tracer));
+    let exposition = expose::render_tracing(&tracer);
+    assert!(exposition.contains("halo_trace_sampled_total"));
+    println!("{exposition}");
     if let Some((hop, fraction)) = agg.dominant() {
         println!(
             "=> p99-style verdict: latency dominated by {} ({}), {:.0}%",
@@ -122,8 +124,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         perfetto.len()
     );
 
-    let exposition = expose::render_tracing(&tracer);
-    assert!(exposition.contains("halo_trace_sampled_total"));
     let exposition_path = out_dir.join("trace_exposition.prom");
     std::fs::write(&exposition_path, &exposition)?;
     println!(

@@ -11,8 +11,9 @@ use halo::core::tasks::seizure;
 use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::{
-    expose, json, summary, AlertKind, AlertPolicy, Counter, Event, EventKind, HealthConfig,
-    HealthMonitor, LogHistogram, Recorder, Scope, Severity, TelemetrySink, Tracer,
+    expose, json, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry, Counter, Event,
+    EventKind, HealthConfig, HealthMonitor, LogHistogram, Recorder, Scope, Severity, TelemetrySink,
+    Tracer,
 };
 
 /// The seizure closed-loop scenario: an SVM trained on labeled recordings
@@ -55,8 +56,8 @@ fn monitor_with(budget_mw: f64, policy: AlertPolicy) -> Arc<HealthMonitor> {
 /// The ISSUE acceptance scenario: a seizure closed-loop run against an
 /// artificially lowered power budget must raise at least one structured
 /// `PowerBudget` alert, latch a valid post-mortem JSON dump, and surface
-/// non-empty latency percentiles in both the text summary and the
-/// Prometheus exposition.
+/// the worst window and non-empty latency percentiles in the Prometheus
+/// exposition.
 #[test]
 fn lowered_budget_raises_power_alert_with_postmortem() {
     let (config, session) = seizure_scenario();
@@ -90,10 +91,8 @@ fn lowered_budget_raises_power_alert_with_postmortem() {
     assert!(dump.contains("power_budget"));
     assert!(dump.contains("recent_events"));
 
-    let text = summary::render(monitor.recorder());
-    assert!(text.contains("frame latency (us):"), "{text}");
-    assert!(text.contains("worst window"), "{text}");
     let exposition = expose::render_health(&monitor);
+    assert!(exposition.contains("halo_power_worst_window_mw "));
     assert!(exposition.contains("halo_frame_latency_ns_count"));
     assert!(exposition.contains("quantile=\"0.99\""));
     assert!(exposition.contains("kind=\"power_budget\",severity=\"critical\""));
@@ -156,6 +155,55 @@ fn failfast_policy_aborts_the_run() {
     }
     assert!(monitor.tripped());
     assert!(monitor.postmortem().is_some());
+}
+
+/// The stream's last power window is judged before the run returns: a
+/// fail-fast monitor trips on it and a callback sees it, whether the
+/// watchdog is attached alone or under the continuous layer. Streams of
+/// up to 68 ms fit in one 2048-frame window.
+#[test]
+fn last_power_window_is_judged_before_the_run_returns() {
+    let config = HaloConfig::small_test(8);
+    let session = |ms| {
+        RecordingConfig::new(RegionProfile::arm())
+            .channels(8)
+            .duration_ms(ms)
+            .generate(5)
+    };
+    let system = |monitor: &Arc<HealthMonitor>, continuous: bool| {
+        let mut system = HaloSystem::new(Task::CompressLz4, config.clone()).unwrap();
+        if continuous {
+            system.attach_continuous(Arc::new(ContinuousTelemetry::new(
+                monitor.clone(),
+                ContinuousConfig::default(),
+            )));
+        } else {
+            system.attach_health(monitor.clone());
+        }
+        system
+    };
+    for ms in [5, 20, 50, 68, 69] {
+        for continuous in [false, true] {
+            let monitor = monitor_with(0.001, AlertPolicy::FailFast);
+            match system(&monitor, continuous).process(&session(ms)) {
+                Err(SystemError::Health { alert }) => assert_eq!(alert, "power_budget"),
+                other => panic!(
+                    "{ms} ms, continuous {continuous}: expected a health trip, got {:?}",
+                    other.map(|m| m.frames)
+                ),
+            }
+        }
+    }
+    let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let fired_in_cb = fired.clone();
+    let monitor = monitor_with(
+        0.001,
+        AlertPolicy::Callback(Arc::new(move |_| {
+            fired_in_cb.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        })),
+    );
+    system(&monitor, false).process(&session(68)).unwrap();
+    assert_eq!(fired.load(std::sync::atomic::Ordering::Relaxed), 1);
 }
 
 /// A generous budget raises nothing: the monitor is pure observation on a
