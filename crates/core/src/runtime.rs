@@ -1090,10 +1090,6 @@ impl Runtime {
                 self.sink.add(scope, Counter::StallCycles, stall);
                 self.sink.add(scope, Counter::BytesIn, bytes_in);
                 self.sink.add(scope, Counter::BytesOut, bytes_out);
-                self.sink
-                    .add(scope, Counter::TokensIn, now.tokens_in - base.tokens_in);
-                self.sink
-                    .add(scope, Counter::TokensOut, now.tokens_out - base.tokens_out);
             }
             if frames == 0 {
                 continue;

@@ -250,9 +250,9 @@ impl HaloSystem {
     /// installed in, exactly as [`HaloSystem::attach_health`] does. The
     /// watchdog that judges each window's power, closed-loop latency,
     /// FIFO depth, and radio throughput also records those readings into
-    /// the layer's time-series store, judges SLO error budgets, and runs
-    /// drift detection. [`HaloSystem::process`] closes the trailing power
-    /// window (polling the SLO/anomaly engines) before it returns.
+    /// the layer's bounded time-series store and judges SLO error budgets
+    /// over them. [`HaloSystem::process`] closes the trailing power window
+    /// (polling the burn-rate engine) before it returns.
     pub fn attach_continuous(&mut self, continuous: Arc<ContinuousTelemetry>) {
         self.attach_health(continuous.monitor().clone());
     }
@@ -496,7 +496,7 @@ impl HaloSystem {
             tracer.finalize_all();
         }
         // Close the trailing power window (judging it and polling the
-        // SLO/anomaly engines) so the fail-fast decision below and
+        // SLO burn-rate engine) so the fail-fast decision below and
         // end-of-run status see the complete series. Under a fail-fast
         // policy a tripped monitor aborts the run; the post-mortem dump
         // stays available on the monitor.

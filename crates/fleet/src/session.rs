@@ -38,9 +38,9 @@ pub struct FleetConfig {
     pub health: HealthConfig,
     /// Exemplar-tracing election parameters.
     pub exemplar: ExemplarConfig,
-    /// Continuous-telemetry layer (embedded tsdb + SLO engine + anomaly
-    /// detection) wrapped around every session's watchdog; `None` runs
-    /// sessions with the bare monitor.
+    /// Continuous-telemetry layer (bounded tsdb + SLO burn-rate engine)
+    /// installed in every session's watchdog; `None` runs sessions with
+    /// the bare monitor.
     pub continuous: Option<ContinuousConfig>,
 }
 
@@ -327,8 +327,8 @@ pub struct SessionReport {
     pub recorder: Arc<Recorder>,
     /// The session's watchdog (alerts, post-mortem).
     pub monitor: Arc<HealthMonitor>,
-    /// The session's continuous-telemetry layer (history, SLOs, drift),
-    /// when the fleet runs with one.
+    /// The session's continuous-telemetry layer (recent window readings
+    /// and SLO burn rates), when the fleet runs with one.
     pub continuous: Option<Arc<ContinuousTelemetry>>,
     /// The session's tracer (exemplar span trees).
     pub tracer: Arc<Tracer>,

@@ -32,21 +32,16 @@ pub struct TriageRow<'a> {
 }
 
 /// Composite badness: a runtime error or critical alert is always worse
-/// than any number of warnings, which in turn dominate anomaly
-/// detections, which dominate tail latency. The p99 term (in
-/// microseconds) breaks ties between healthy sessions so the triage
-/// table stays fully ordered and deterministic.
+/// than any number of warnings, which in turn dominate tail latency. The
+/// p99 term (in microseconds) breaks ties between healthy sessions so the
+/// triage table stays fully ordered and deterministic.
 pub fn score(report: &SessionReport) -> f64 {
     let status = report.monitor.status();
     let critical = status.severity_counts[2] as f64;
     let warning = status.severity_counts[1] as f64;
     let error = if report.error.is_some() { 1.0 } else { 0.0 };
-    let anomalies = report
-        .continuous
-        .as_ref()
-        .map_or(0.0, |c| c.status().anomalies_total as f64);
     let p99_us = worst_p99_ns(report) as f64 / 1e3;
-    (critical + error) * 1e9 + warning * 1e6 + anomalies * 1e2 + p99_us
+    (critical + error) * 1e9 + warning * 1e6 + p99_us
 }
 
 fn worst_p99_ns(report: &SessionReport) -> u64 {
@@ -146,7 +141,6 @@ pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
     let mut severity = [0u64; 3];
     let mut frames = 0u64;
     let mut completed = 0u64;
-    let mut anomalies = 0u64;
     let mut slo_firings = 0u64;
     let mut max_burn = 0.0f64;
     for report in reports {
@@ -160,7 +154,6 @@ pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
         }
         if let Some(continuous) = &report.continuous {
             let cs = continuous.status();
-            anomalies += cs.anomalies_total;
             slo_firings += cs.slo.total_fired();
             max_burn = max_burn.max(cs.slo.max_burn_rate());
         }
@@ -183,7 +176,6 @@ pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
         "  \"slo\": {{\"firings\": {slo_firings}, \"max_burn_rate\": {}}},\n",
         json::number(max_burn)
     ));
-    out.push_str(&format!("  \"anomalies\": {anomalies},\n"));
 
     // The merged fleet profile's one-line verdict: where the fleet's
     // cycles go, fleet-wide.
@@ -247,31 +239,8 @@ pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
                     }
                 }
                 out.push_str(&format!("      \"slo\": [{}],\n", burns.join(", ")));
-                let recent: Vec<String> = cs
-                    .detections
-                    .iter()
-                    .rev()
-                    .take(4)
-                    .map(|d| {
-                        format!(
-                            "{{\"series\": {}, \"signal\": {}, \"frame\": {}, \"score\": {}}}",
-                            json::string(d.series.name()),
-                            json::string(d.signal.label()),
-                            d.frame,
-                            json::number(d.score)
-                        )
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "      \"anomalies\": {{\"total\": {}, \"recent\": [{}]}},\n",
-                    cs.anomalies_total,
-                    recent.join(", ")
-                ));
             }
-            None => {
-                out.push_str("      \"slo\": null,\n");
-                out.push_str("      \"anomalies\": null,\n");
-            }
+            None => out.push_str("      \"slo\": null,\n"),
         }
         match status.worst_window {
             Some((frame, mw)) => out.push_str(&format!(

@@ -442,9 +442,9 @@ pub fn render_continuous(status: &crate::tsdb::ContinuousStatus) -> String {
     e.finish()
 }
 
-/// Append the continuous-telemetry families — time-series store totals,
-/// SLO burn rates and firing state, anomaly-detection counters — to an
-/// exposition under construction. `status` comes from
+/// Append the continuous-telemetry families — time-series store totals
+/// and SLO burn rates and firing state — to an exposition under
+/// construction. `status` comes from
 /// [`ContinuousTelemetry::status`](crate::tsdb::ContinuousTelemetry::status).
 pub fn render_continuous_into(e: &mut Exposition, status: &crate::tsdb::ContinuousStatus) {
     e.family(
@@ -510,19 +510,6 @@ pub fn render_continuous_into(e: &mut Exposition, status: &crate::tsdb::Continuo
             e.value("halo_slo_alerts_total", &labels, state.fired[p]);
         }
     }
-
-    e.family(
-        "halo_anomaly_detections_total",
-        "counter",
-        "Points flagged by the drift/spike detectors (retained + dropped).",
-    );
-    e.value("halo_anomaly_detections_total", "", status.anomalies_total);
-    e.family(
-        "halo_anomaly_dropped_total",
-        "counter",
-        "Anomaly detections beyond the retention cap.",
-    );
-    e.value("halo_anomaly_dropped_total", "", status.anomalies_dropped);
 }
 
 /// Render the causal-tracing families for `tracer`: sampling counters plus
@@ -762,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn continuous_exposition_reports_tsdb_slo_and_anomaly_families() {
+    fn continuous_exposition_reports_tsdb_and_slo_families() {
         use crate::tsdb::{ContinuousConfig, ContinuousTelemetry};
         let mon = Arc::new(HealthMonitor::new(populated(), HealthConfig::default()));
         let ct = ContinuousTelemetry::new(mon, ContinuousConfig::default());
@@ -785,7 +772,6 @@ mod tests {
         assert!(!text.contains("halo_tsdb_last_value{series=\"radio_bps\"}"));
         assert!(text.contains("halo_slo_burn_rate{objective=\"power\",policy=\"fast\"} 0\n"));
         assert!(text.contains("halo_slo_firing{objective=\"power\",policy=\"fast\"} 0\n"));
-        assert!(text.contains("halo_anomaly_detections_total 0\n"));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! configured [`AlertPolicy`]. With a
 //! [`ContinuousTelemetry`](crate::ContinuousTelemetry) store installed,
 //! every reading is also recorded with its utilization, and each closed
-//! power window polls the SLO and drift engines. Any *critical* alert (or
+//! power window polls the SLO burn-rate engine. Any *critical* alert (or
 //! an explicit [`HealthMonitor::note_runtime_error`]) latches a
 //! post-mortem: a JSON black-box dump of the recorder's last N events,
 //! every counter, the fabric configuration generation, and the active
@@ -520,7 +520,7 @@ impl HealthMonitor {
     }
 
     /// Close the power window still being summed: judge it, record it in
-    /// an installed continuous store, and poll the SLO and drift engines.
+    /// an installed continuous store, and poll the SLO burn-rate engine.
     /// All of a window's samples arrive together, so a partially summed
     /// window only exists between a run's last sample and this call (or
     /// the first accessor, which flushes too). Idempotent.
@@ -639,7 +639,11 @@ impl HealthMonitor {
             // Escalate tracing first: the frames right after the incident
             // are the ones the post-mortem wants span trees for. Repeats
             // within a run already escalated.
-            self.escalate();
+            if let Some(tracer) = self.tracer() {
+                tracer
+                    .sampler()
+                    .force_next(self.config.escalate_trace_frames);
+            }
             if state.postmortem.is_none() {
                 state.postmortem = Some(self.render_postmortem(
                     state,
@@ -647,15 +651,6 @@ impl HealthMonitor {
                     alert.frame,
                 ));
             }
-        }
-    }
-
-    /// Force-sample the attached tracer's next frames.
-    fn escalate(&self) {
-        if let Some(tracer) = self.tracer() {
-            tracer
-                .sampler()
-                .force_next(self.config.escalate_trace_frames);
         }
     }
 
@@ -746,8 +741,8 @@ impl HealthMonitor {
     }
 
     /// Close the power window being summed, if any: judge its total
-    /// against the live budget, then poll the continuous store's engines
-    /// at its frame.
+    /// against the live budget, then poll the continuous store's
+    /// burn-rate engine at its frame.
     fn close_window(&self, state: &mut WatchdogState, alerts: &mut Vec<HealthAlert>) {
         let Some(frame) = state.power_frame.take() else {
             return;
@@ -764,15 +759,10 @@ impl HealthMonitor {
         });
         let reading = (window_mw, budget_mw);
         self.judge(state, alerts, frame, SeriesKind::PowerMw, reading, breach);
-        let Some((firings, drifted)) = state.continuous.as_mut().map(|c| c.poll(frame)) else {
-            return;
-        };
-        for alert in firings {
+        let firings = state.continuous.as_mut().map(|c| c.poll(frame));
+        for alert in firings.unwrap_or_default() {
             self.raise_locked(state, alert);
             alerts.push(alert);
-        }
-        if drifted {
-            self.escalate();
         }
     }
 

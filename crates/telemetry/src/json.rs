@@ -3,10 +3,11 @@
 //! The simulator builds in offline environments with no registry access, so
 //! trace export cannot depend on serde. This module provides the pieces the
 //! exporters need: correct string escaping / number formatting for
-//! *emission*, a small recursive-descent *validator* used by tests to
-//! guarantee emitted traces are well-formed JSON, and a matching [`parse`]
-//! returning a [`Value`] tree so captured trace logs can be read back for
-//! deterministic replay.
+//! *emission*, and one recursive-descent reader: [`parse`] returns a
+//! [`Value`] tree so captured trace logs can be read back for deterministic
+//! replay, and [`validate`] runs it to guarantee emitted traces are
+//! well-formed JSON. Arrays and objects nested deeper than [`MAX_DEPTH`]
+//! are an error, so hostile input cannot recurse the reader off the stack.
 
 /// Escape `s` into a JSON string literal (including the surrounding quotes).
 pub fn string(s: &str) -> String {
@@ -40,36 +41,9 @@ pub fn number(v: f64) -> String {
     format!("{v}")
 }
 
-/// Validate that `input` is a single well-formed JSON value.
-pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => jstring(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => jnumber(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-        None => Err("unexpected end of input".to_string()),
     }
 }
 
@@ -79,60 +53,6 @@ fn literal(b: &[u8], pos: &mut usize, word: &str) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        jstring(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
     }
 }
 
@@ -280,13 +200,24 @@ impl Value {
     }
 }
 
-/// Parse `input` into a [`Value`] tree. Accepts exactly the documents
-/// [`validate`] accepts.
+/// Deepest array/object nesting [`parse`] and [`validate`] accept. The
+/// deepest document the simulator writes (fleet triage with embedded
+/// post-mortems and span trees) nests about ten levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Validate that `input` is a single well-formed JSON value, nested no
+/// deeper than [`MAX_DEPTH`].
+pub fn validate(input: &str) -> Result<(), String> {
+    parse(input).map(|_| ())
+}
+
+/// Parse `input` into a [`Value`] tree. Nesting deeper than
+/// [`MAX_DEPTH`] is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -294,10 +225,15 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse one value; `depth` is how many more arrays/objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => parse_string(b, pos).map(Value::String),
         Some(b't') => literal(b, pos, "true").map(|_| Value::Bool(true)),
         Some(b'f') => literal(b, pos, "false").map(|_| Value::Bool(false)),
@@ -308,7 +244,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '{'
     skip_ws(b, pos);
     let mut members = Vec::new();
@@ -328,7 +264,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         }
         *pos += 1;
         skip_ws(b, pos);
-        members.push((key, parse_value(b, pos)?));
+        members.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -341,7 +277,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // consume '['
     skip_ws(b, pos);
     let mut items = Vec::new();
@@ -351,7 +287,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(b, pos);
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -499,9 +435,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_what_validate_rejects() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "1 2", "NaN"] {
-            assert!(parse(bad).is_err(), "{bad} should be rejected");
+    fn nesting_past_max_depth_is_an_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        parse(&nested(MAX_DEPTH)).unwrap();
+        let object = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        parse(&object).unwrap();
+        for deep in [
+            nested(MAX_DEPTH + 1),
+            format!("{{\"a\":{}", nested(MAX_DEPTH)),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.starts_with("nesting deeper than"), "{err}");
+            assert_eq!(validate(&deep), Err(err));
         }
     }
 

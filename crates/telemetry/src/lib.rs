@@ -27,12 +27,12 @@
 //! structured [`HealthAlert`]s under a configurable [`AlertPolicy`], and
 //! latches a black-box post-mortem JSON dump on any critical alert or
 //! runtime error. A [`ContinuousTelemetry`] store installed in the monitor
-//! keeps those readings as history ([`tsdb`]) and judges SLO burn rates
-//! and drift over them, in the same pass (sink chain `Runtime →
-//! HealthMonitor → Recorder`). Latency distributions (end-to-end frame
-//! latency per pipeline, window service time per PE) are kept in
-//! fixed-size log-bucketed [`LogHistogram`]s with p50/p90/p99/max digests
-//! in every snapshot.
+//! keeps the last readings of each envelope as bounded history ([`tsdb`])
+//! and judges SLO burn rates over them ([`slo`]), in the same pass (sink
+//! chain `Runtime → HealthMonitor → Recorder`). Latency distributions
+//! (end-to-end frame latency per pipeline, window service time per PE)
+//! are kept in fixed-size log-bucketed [`LogHistogram`]s with
+//! p50/p90/p99/max digests in every snapshot.
 //!
 //! Orthogonal to the aggregate counters sits *causal tracing*
 //! ([`tracing`]): a deterministic [`TraceSampler`] tags selected input
@@ -73,7 +73,6 @@
 //! halo_telemetry::json::validate(&trace).unwrap();
 //! ```
 
-pub mod anomaly;
 pub mod chrome_trace;
 pub mod expose;
 pub mod health;
@@ -88,7 +87,6 @@ pub mod span_tree;
 pub mod tracing;
 pub mod tsdb;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, AnomalySignal, Detection};
 pub use health::{
     AlertKind, AlertPolicy, CoalescedAlert, HealthAlert, HealthConfig, HealthMonitor, HealthStatus,
 };

@@ -14,8 +14,6 @@ struct PeCounters {
     stall_cycles: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    tokens_in: AtomicU64,
-    tokens_out: AtomicU64,
     fifo_high_water: AtomicU64,
     fifo_peak_depth: AtomicU64,
 }
@@ -145,8 +143,6 @@ pub struct PeSnapshot {
     pub stall_cycles: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
-    pub tokens_in: u64,
-    pub tokens_out: u64,
     pub fifo_high_water: u64,
     /// Peak end-of-window FIFO occupancy (sustained backpressure), tokens.
     pub fifo_peak_depth: u64,
@@ -161,8 +157,6 @@ impl PeSnapshot {
             || self.stall_cycles != 0
             || self.bytes_in != 0
             || self.bytes_out != 0
-            || self.tokens_in != 0
-            || self.tokens_out != 0
             || self.fifo_high_water != 0
             || self.fifo_peak_depth != 0
     }
@@ -318,8 +312,6 @@ impl Recorder {
                 stall_cycles: c.stall_cycles.load(Ordering::Relaxed),
                 bytes_in: c.bytes_in.load(Ordering::Relaxed),
                 bytes_out: c.bytes_out.load(Ordering::Relaxed),
-                tokens_in: c.tokens_in.load(Ordering::Relaxed),
-                tokens_out: c.tokens_out.load(Ordering::Relaxed),
                 fifo_high_water: c.fifo_high_water.load(Ordering::Relaxed),
                 fifo_peak_depth: c.fifo_peak_depth.load(Ordering::Relaxed),
                 service: lat.pe_service[slot]
@@ -379,8 +371,6 @@ impl Recorder {
             Counter::StallCycles => &c.stall_cycles,
             Counter::BytesIn => &c.bytes_in,
             Counter::BytesOut => &c.bytes_out,
-            Counter::TokensIn => &c.tokens_in,
-            Counter::TokensOut => &c.tokens_out,
             Counter::FifoHighWater => &c.fifo_high_water,
             Counter::FifoPeakDepth => &c.fifo_peak_depth,
             _ => return None,

@@ -28,10 +28,7 @@ pub enum Counter {
     /// Payload bytes leaving a PE (`Scope::Pe`) or crossing a link
     /// (`Scope::Link`).
     BytesOut,
-    /// Tokens entering a PE (`Scope::Pe`).
-    TokensIn,
-    /// Tokens leaving a PE (`Scope::Pe`) or transfers on a link
-    /// (`Scope::Link`).
+    /// Transfers on a link (`Scope::Link`).
     TokensOut,
     /// High-water mark of a PE's output FIFO in tokens (`Scope::Pe`,
     /// use [`TelemetrySink::hwm`]).

@@ -23,9 +23,17 @@
 //! | slow   | 1 h + 6 h         | 6.0            | warning   |
 //!
 //! Default windows are expressed in sample frames at 30 kHz; tests and
-//! short sessions shrink them via [`SloConfig`]'s public fields. A firing
-//! transition raises through [`crate::health::HealthMonitor::raise`] as an
-//! [`crate::health::AlertKind::SloBurnRate`] alert, so fast-burn firings
+//! short sessions shrink them via [`SloConfig`]'s public fields.
+//!
+//! A window counts only the points the tsdb still holds: each series
+//! keeps its last [`raw_capacity`](crate::tsdb::TsdbConfig::raw_capacity)
+//! points (512 by default, about 9 minutes of power windows at the §V-A
+//! design point). A lookback longer than that ring — the default 1 h and
+//! 6 h windows — is judged over the retained points, so its burn rate is
+//! the rate over the ring's span, not over the nominal window.
+//!
+//! The [`crate::health::HealthMonitor`] raises each firing transition as
+//! an [`crate::health::AlertKind::SloBurnRate`] alert, so fast-burn firings
 //! latch flight-recorder post-mortems and escalate causal tracing exactly
 //! like a hard envelope violation — but minutes earlier.
 
@@ -215,8 +223,9 @@ impl SloEngine {
         &self.config
     }
 
-    /// Burn rate of `series` over the `window_frames` ending at `now`, or
-    /// `None` with fewer than `min_points` points in the window.
+    /// Burn rate of `series` over the `window_frames` ending at `now`
+    /// (over the retained points, when the window reaches past the
+    /// series' ring), or `None` with fewer than `min_points` points in it.
     fn burn_rate(
         &self,
         tsdb: &Tsdb,
@@ -305,10 +314,7 @@ mod tests {
     }
 
     fn tsdb() -> Tsdb {
-        Tsdb::new(&TsdbConfig {
-            raw_capacity: 1024,
-            ..TsdbConfig::default()
-        })
+        Tsdb::new(&TsdbConfig { raw_capacity: 1024 })
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Embedded time-series store with multi-resolution downsampling.
+//! Embedded time-series store: bounded history of the readings the
+//! watchdog judges, kept for the SLO burn-rate engine.
 //!
-//! Every surface the crate had before this module is a point-in-time
-//! snapshot: `expose` renders the counters *now*, the [`HealthMonitor`]
-//! judges the window *now*. A fleet serving implants for years needs
-//! history — error budgets burn over minutes, power creep develops over
-//! hours — so this module retains it, under implant-grade constraints:
+//! Every other surface of the crate is a point-in-time snapshot: `expose`
+//! renders the counters *now*, the [`HealthMonitor`] judges the window
+//! *now*. Error budgets burn over many windows, so this module keeps the
+//! most recent ones, under implant-grade constraints:
 //!
-//! * **Allocation-bounded.** Every series is a fixed-capacity ring of raw
-//!   points plus two fixed-capacity rings of downsampled buckets
-//!   (raw → ~10 s → ~1 m by default). Nothing grows after construction;
-//!   old data is evicted, never reallocated.
+//! * **Allocation-bounded.** Every series is one fixed-capacity ring of
+//!   raw points, [`TsdbConfig::raw_capacity`] (512 by default). Nothing
+//!   grows past it; the oldest point is evicted, never reallocated, and
+//!   only counted ([`Series::total`], `dropped` in snapshots). At one power
+//!   window per feature window, 512 points are about 9 minutes of
+//!   biological time at the §V-A design point (32,768-frame windows at
+//!   30 kHz), shorter than the SLO engine's default 1 h and 6 h windows
+//!   (see [`crate::slo`]).
 //! * **Window-granular.** The [`HealthMonitor`] feeds the store only the
 //!   readings it already judges at sampling-window cadence (power windows,
 //!   FIFO windows, radio windows, closed-loop completions), so the hot
@@ -29,7 +33,6 @@
 
 use std::sync::Arc;
 
-use crate::anomaly::{AnomalyDetector, Detection};
 use crate::health::{AlertKind, HealthAlert, HealthMonitor};
 use crate::json;
 use crate::slo::{SloEngine, SloStatus};
@@ -126,121 +129,13 @@ pub struct Point {
     pub value: f64,
 }
 
-/// One downsampled bucket: min/max/sum/count of the raw points whose frame
-/// falls in `[start_frame, start_frame + bucket_frames)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucket {
-    pub start_frame: u64,
-    pub min: f64,
-    pub max: f64,
-    pub sum: f64,
-    pub count: u64,
-}
-
-impl Bucket {
-    fn seed(start_frame: u64, value: f64) -> Self {
-        Self {
-            start_frame,
-            min: value,
-            max: value,
-            sum: value,
-            count: 1,
-        }
-    }
-
-    fn fold(&mut self, value: f64) {
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Mean of the bucket's points (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// One downsampling resolution: a bounded ring of sealed buckets plus the
-/// bucket currently being accumulated.
-#[derive(Debug, Clone)]
-struct TierState {
-    bucket_frames: u64,
-    buckets: Vec<Bucket>,
-    next: usize,
-    sealed: u64,
-    evicted: u64,
-    open: Option<Bucket>,
-}
-
-impl TierState {
-    fn new(bucket_frames: u64) -> Self {
-        Self {
-            bucket_frames: bucket_frames.max(1),
-            buckets: Vec::new(),
-            next: 0,
-            sealed: 0,
-            evicted: 0,
-            open: None,
-        }
-    }
-
-    fn record(&mut self, frame: u64, value: f64, capacity: usize) {
-        let start = frame - frame % self.bucket_frames;
-        match &mut self.open {
-            Some(open) if open.start_frame == start => open.fold(value),
-            Some(_) => {
-                let sealed = self.open.take().unwrap();
-                self.seal(sealed, capacity);
-                self.open = Some(Bucket::seed(start, value));
-            }
-            None => self.open = Some(Bucket::seed(start, value)),
-        }
-    }
-
-    fn seal(&mut self, bucket: Bucket, capacity: usize) {
-        if capacity == 0 {
-            self.evicted += 1;
-            self.sealed += 1;
-            return;
-        }
-        if self.buckets.len() < capacity {
-            self.buckets.push(bucket);
-        } else {
-            self.buckets[self.next] = bucket;
-            self.evicted += 1;
-        }
-        self.next = (self.next + 1) % capacity;
-        self.sealed += 1;
-    }
-
-    /// Sealed buckets oldest-first, then the open bucket if any.
-    fn ordered(&self) -> Vec<Bucket> {
-        let mut out = Vec::with_capacity(self.buckets.len() + 1);
-        if self.evicted == 0 || self.buckets.is_empty() {
-            out.extend_from_slice(&self.buckets);
-        } else {
-            out.extend_from_slice(&self.buckets[self.next..]);
-            out.extend_from_slice(&self.buckets[..self.next]);
-        }
-        out.extend(self.open);
-        out
-    }
-}
-
-/// One bounded series: a raw-point ring plus its downsampling tiers.
+/// One bounded series: a ring of the last `raw_capacity` raw points.
 #[derive(Debug, Clone)]
 pub struct Series {
     raw: Vec<Point>,
     next: usize,
     total: u64,
-    tiers: [TierState; 2],
     capacity: usize,
-    bucket_capacity: usize,
 }
 
 impl Series {
@@ -249,12 +144,7 @@ impl Series {
             raw: Vec::new(),
             next: 0,
             total: 0,
-            tiers: [
-                TierState::new(config.bucket_frames[0]),
-                TierState::new(config.bucket_frames[1]),
-            ],
             capacity: config.raw_capacity.max(1),
-            bucket_capacity: config.bucket_capacity,
         }
     }
 
@@ -266,9 +156,6 @@ impl Series {
         }
         self.next = (self.next + 1) % self.capacity;
         self.total += 1;
-        for tier in &mut self.tiers {
-            tier.record(frame, value, self.bucket_capacity);
-        }
     }
 
     /// Points ever recorded (retained or evicted).
@@ -281,87 +168,50 @@ impl Series {
         self.raw.len()
     }
 
-    /// Absolute index of the oldest retained point. Point indices are
-    /// stable over the series' lifetime: index `i` is the `i`-th point ever
-    /// recorded, valid while `first_index() <= i < total()`.
-    pub fn first_index(&self) -> u64 {
-        self.total - self.raw.len() as u64
-    }
-
-    /// The point at absolute index `index`, if still retained.
-    pub fn point(&self, index: u64) -> Option<Point> {
-        if index < self.first_index() || index >= self.total {
-            return None;
-        }
-        let back = (self.total - 1 - index) as usize;
-        let slot = (self.next + self.capacity - 1 - back % self.capacity) % self.capacity;
-        Some(self.raw[slot])
+    /// Retained raw points, oldest first. `next` is the slot the next
+    /// point overwrites: the oldest point once the ring is full, the end
+    /// of `raw` before that.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = Point> + '_ {
+        self.raw[self.next..]
+            .iter()
+            .chain(&self.raw[..self.next])
+            .copied()
     }
 
     /// The most recent point, if any.
     pub fn latest(&self) -> Option<Point> {
-        self.point(self.total.checked_sub(1)?)
+        self.iter().next_back()
     }
 
     /// Retained raw points oldest-first.
     pub fn points(&self) -> Vec<Point> {
-        (self.first_index()..self.total)
-            .filter_map(|i| self.point(i))
-            .collect()
+        self.iter().collect()
     }
 
     /// Retained points with `frame > cutoff`, as `(total, bad)` where a
     /// point is *bad* when its value exceeds `margin` — the window query
     /// the burn-rate engine runs.
     pub fn window_counts(&self, cutoff: u64, margin: f64) -> (u64, u64) {
-        let mut total = 0u64;
-        let mut bad = 0u64;
-        let mut index = self.total;
-        while index > self.first_index() {
-            index -= 1;
-            let p = self.point(index).unwrap();
-            if p.frame <= cutoff {
-                break;
-            }
-            total += 1;
-            if p.value > margin {
-                bad += 1;
-            }
-        }
-        (total, bad)
-    }
-
-    /// Downsampled buckets of tier `tier` (0 = fine, 1 = coarse),
-    /// oldest-first, including the still-open bucket.
-    pub fn buckets(&self, tier: usize) -> Vec<Bucket> {
-        self.tiers[tier].ordered()
-    }
-
-    /// Bucket width of tier `tier`, in frames.
-    pub fn bucket_frames(&self, tier: usize) -> u64 {
-        self.tiers[tier].bucket_frames
+        self.iter()
+            .rev()
+            .take_while(|p| p.frame > cutoff)
+            .fold((0, 0), |(total, bad), p| {
+                (total + 1, bad + u64::from(p.value > margin))
+            })
     }
 }
 
-/// Ring capacities and downsampling widths for a [`Tsdb`].
+/// Ring capacity for a [`Tsdb`].
 #[derive(Debug, Clone)]
 pub struct TsdbConfig {
-    /// Raw points retained per series.
+    /// Raw points retained per series. Older points are counted in
+    /// [`Series::total`] but evicted.
     pub raw_capacity: usize,
-    /// Bucket widths in frames for the two downsampling tiers. The
-    /// defaults are 10 s and 1 m of biological time at 30 kHz.
-    pub bucket_frames: [u64; 2],
-    /// Sealed buckets retained per tier per series.
-    pub bucket_capacity: usize,
 }
 
 impl Default for TsdbConfig {
     fn default() -> Self {
-        Self {
-            raw_capacity: 512,
-            bucket_frames: [300_000, 1_800_000],
-            bucket_capacity: 128,
-        }
+        Self { raw_capacity: 512 }
     }
 }
 
@@ -389,10 +239,10 @@ impl Tsdb {
         &self.series[kind.index()]
     }
 
-    /// Serialize every series — raw ring plus both downsampled tiers — as
-    /// a deterministic JSON document. Identical recorded histories render
-    /// byte-identically: series appear in [`SeriesKind::ALL`] order and all
-    /// numbers go through [`json::number`].
+    /// Serialize every series' raw ring as a deterministic JSON document.
+    /// Identical recorded histories render byte-identically: series appear
+    /// in [`SeriesKind::ALL`] order and all numbers go through
+    /// [`json::number`].
     pub fn snapshot_json(&self, sample_rate_hz: u32) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str(&format!(
@@ -407,39 +257,13 @@ impl Tsdb {
                     .iter()
                     .map(|p| format!("{{\"f\":{},\"v\":{}}}", p.frame, json::number(p.value)))
                     .collect();
-                let tiers: Vec<String> = (0..s.tiers.len())
-                    .map(|t| {
-                        let buckets: Vec<String> = s
-                            .buckets(t)
-                            .iter()
-                            .map(|b| {
-                                format!(
-                                    "{{\"s\":{},\"min\":{},\"max\":{},\"sum\":{},\"count\":{}}}",
-                                    b.start_frame,
-                                    json::number(b.min),
-                                    json::number(b.max),
-                                    json::number(b.sum),
-                                    b.count,
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{{\"bucket_frames\":{},\"evicted\":{},\"buckets\":[{}]}}",
-                            s.bucket_frames(t),
-                            s.tiers[t].evicted,
-                            buckets.join(","),
-                        )
-                    })
-                    .collect();
                 format!(
-                    "{{\"name\":{},\"unit\":{},\"total\":{},\"dropped\":{},\
-                     \"raw\":[{}],\"tiers\":[{}]}}",
+                    "{{\"name\":{},\"unit\":{},\"total\":{},\"dropped\":{},\"raw\":[{}]}}",
                     json::string(kind.name()),
                     json::string(kind.unit()),
                     s.total(),
                     s.total() - s.retained() as u64,
                     raw.join(","),
-                    tiers.join(","),
                 )
             })
             .collect();
@@ -449,13 +273,12 @@ impl Tsdb {
     }
 }
 
-/// Configuration for the whole continuous layer: store capacities, SLO
-/// burn-rate policies, and anomaly detectors.
+/// Configuration for the whole continuous layer: store capacity and SLO
+/// burn-rate policies.
 #[derive(Debug, Clone, Default)]
 pub struct ContinuousConfig {
     pub tsdb: TsdbConfig,
     pub slo: crate::slo::SloConfig,
-    pub anomaly: crate::anomaly::AnomalyConfig,
 }
 
 /// Everything the continuous layer knows at one instant — what
@@ -466,19 +289,14 @@ pub struct ContinuousStatus {
     pub series: Vec<(SeriesKind, u64, usize, Option<Point>)>,
     /// Burn-rate engine state per objective.
     pub slo: SloStatus,
-    /// Anomaly detections retained (bounded), ever flagged, and dropped.
-    pub detections: Vec<Detection>,
-    pub anomalies_total: u64,
-    pub anomalies_dropped: u64,
 }
 
 /// The store a [`ContinuousTelemetry`] installs in its monitor: the tsdb
-/// and the engines that judge it. It lives under the monitor's state
-/// lock, which feeds it every window reading.
+/// and the burn-rate engine that judges it. It lives under the monitor's
+/// state lock, which feeds it every window reading.
 pub(crate) struct ContinuousState {
     pub(crate) tsdb: Tsdb,
     slo: SloEngine,
-    anomaly: AnomalyDetector,
     /// Most recent window-event frame — the timestamp given to latency
     /// batches, which arrive without one.
     pub(crate) last_frame: u64,
@@ -489,7 +307,6 @@ impl ContinuousState {
         Self {
             tsdb: Tsdb::new(&config.tsdb),
             slo: SloEngine::new(config.slo),
-            anomaly: AnomalyDetector::new(config.anomaly),
             last_frame: 0,
         }
     }
@@ -505,11 +322,9 @@ impl ContinuousState {
     }
 
     /// One evaluation pass at a closed power window: the burn-rate
-    /// engine's firings as alerts, and whether drift detection flagged
-    /// anything new.
-    pub(crate) fn poll(&mut self, now: u64) -> (Vec<HealthAlert>, bool) {
-        let firings = self
-            .slo
+    /// engine's firings, as alerts.
+    pub(crate) fn poll(&mut self, now: u64) -> Vec<HealthAlert> {
+        self.slo
             .poll(&self.tsdb, now)
             .into_iter()
             .map(|firing| HealthAlert {
@@ -520,8 +335,8 @@ impl ContinuousState {
                     burn_rate: firing.burn_rate,
                     threshold: firing.threshold,
                 },
-            });
-        (firings.collect(), self.anomaly.poll(&self.tsdb) > 0)
+            })
+            .collect()
     }
 
     fn status(&self) -> ContinuousStatus {
@@ -534,23 +349,20 @@ impl ContinuousState {
                 })
                 .collect(),
             slo: self.slo.status(),
-            detections: self.anomaly.detections().to_vec(),
-            anomalies_total: self.anomaly.total(),
-            anomalies_dropped: self.anomaly.dropped(),
         }
     }
 }
 
-/// The continuous-telemetry layer: a time-series store, SLO burn-rate
-/// engine and drift detector that live inside a [`HealthMonitor`]. The
-/// monitor stays the device's sink (chain `Runtime → HealthMonitor →
-/// Recorder`; attach it with `HaloSystem::attach_continuous`). Each window
-/// reading it judges goes into the [`Tsdb`] with its utilization, and each
-/// closed power window polls the engines: burn-rate firings are raised
-/// like any envelope violation, so they reach the flight recorder and
-/// post-mortems, and fresh drift detections escalate the attached
-/// tracer's sampling via `force_next`, same as critical alerts. This
-/// handle installs the store and reads it back.
+/// The continuous-telemetry layer: a time-series store and SLO burn-rate
+/// engine that live inside a [`HealthMonitor`]. The monitor stays the
+/// device's sink (chain `Runtime → HealthMonitor → Recorder`; attach it
+/// with `HaloSystem::attach_continuous`). Each window reading it judges
+/// goes into the [`Tsdb`] with its utilization, and each closed power
+/// window polls the burn-rate engine: firings are raised like any
+/// envelope violation, so they reach the flight recorder and
+/// post-mortems, and a fast-burn (critical) firing escalates an attached
+/// tracer like any critical alert. This handle installs the store and
+/// reads it back.
 #[derive(Debug)]
 pub struct ContinuousTelemetry {
     monitor: Arc<HealthMonitor>,
@@ -589,8 +401,8 @@ impl ContinuousTelemetry {
         self.monitor.with_continuous(|c| f(&c.tsdb))
     }
 
-    /// Point-in-time digest of series totals, SLO state, and anomaly
-    /// detections (flushes first).
+    /// Point-in-time digest of series totals and SLO state (flushes
+    /// first).
     pub fn status(&self) -> ContinuousStatus {
         self.monitor.with_continuous(ContinuousState::status)
     }
@@ -604,11 +416,7 @@ mod tests {
     use crate::sink::{Event, EventKind, TelemetrySink};
 
     fn small_config() -> TsdbConfig {
-        TsdbConfig {
-            raw_capacity: 8,
-            bucket_frames: [10, 100],
-            bucket_capacity: 4,
-        }
+        TsdbConfig { raw_capacity: 8 }
     }
 
     #[test]
@@ -620,59 +428,18 @@ mod tests {
         let s = db.series(SeriesKind::PowerMw);
         assert_eq!(s.total(), 20);
         assert_eq!(s.retained(), 8);
-        assert_eq!(s.first_index(), 12);
-        assert_eq!(s.point(11), None, "evicted points are gone");
-        assert_eq!(s.point(12).unwrap().value, 12.0);
+        let frames: Vec<u64> = s.points().iter().map(|p| p.frame).collect();
+        assert_eq!(
+            frames,
+            (12..20).collect::<Vec<_>>(),
+            "the oldest 12 are gone"
+        );
         assert_eq!(s.latest().unwrap().value, 19.0);
-        let points = s.points();
-        assert_eq!(points.len(), 8);
-        assert!(points.windows(2).all(|w| w[0].frame < w[1].frame));
-    }
-
-    #[test]
-    fn downsampling_buckets_carry_min_max_sum_count() {
-        let mut db = Tsdb::new(&small_config());
-        // Frames 0..25 → tier-0 buckets [0,10), [10,20), [20,30)-open.
-        for i in 0..25u64 {
-            db.record(SeriesKind::PowerMw, i, i as f64);
-        }
-        let buckets = db.series(SeriesKind::PowerMw).buckets(0);
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0].start_frame, 0);
-        assert_eq!(buckets[0].count, 10);
-        assert_eq!(buckets[0].min, 0.0);
-        assert_eq!(buckets[0].max, 9.0);
-        assert_eq!(buckets[0].sum, 45.0);
-        assert_eq!(buckets[2].count, 5, "open bucket included");
-        // The coarse tier holds everything in one open bucket.
-        let coarse = db.series(SeriesKind::PowerMw).buckets(1);
-        assert_eq!(coarse.len(), 1);
-        assert_eq!(coarse[0].count, 25);
-        assert!((coarse[0].mean() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bucket_ring_is_bounded() {
-        let mut db = Tsdb::new(&small_config());
-        // 100 tier-0 buckets' worth of points; only 4 sealed survive.
-        for i in 0..1000u64 {
-            db.record(SeriesKind::PowerMw, i, 1.0);
-        }
-        let s = db.series(SeriesKind::PowerMw);
-        let buckets = s.buckets(0);
-        assert_eq!(buckets.len(), 5); // 4 sealed + open
-        assert!(buckets
-            .windows(2)
-            .all(|w| w[0].start_frame < w[1].start_frame));
-        assert_eq!(buckets.last().unwrap().start_frame, 990);
     }
 
     #[test]
     fn window_counts_respect_cutoff_and_margin() {
-        let mut db = Tsdb::new(&TsdbConfig {
-            raw_capacity: 64,
-            ..small_config()
-        });
+        let mut db = Tsdb::new(&TsdbConfig { raw_capacity: 64 });
         for i in 0..10u64 {
             let v = if i >= 6 { 0.9 } else { 0.1 };
             db.record(SeriesKind::PowerUtilization, i * 10, v);
@@ -702,7 +469,9 @@ mod tests {
         json::validate(&a).unwrap();
         assert_eq!(a, b, "identical histories must render byte-identically");
         assert!(a.contains("\"name\":\"power_mw\""));
-        assert!(a.contains("\"bucket_frames\":10"));
+        // 50 points through an 8-point ring: the snapshot keeps the last 8
+        // and counts the rest.
+        assert!(a.contains("\"name\":\"power_mw\",\"unit\":\"mW\",\"total\":50,\"dropped\":42,"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use halo::faults::BrownoutWindow;
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
 use halo::telemetry::{
     expose, json, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry, HealthConfig,
-    HealthMonitor, Recorder, Severity, SloConfig, TsdbConfig,
+    HealthMonitor, Recorder, Severity, SloConfig,
 };
 
 const CHANNELS: usize = 8;
@@ -41,7 +41,6 @@ fn build(
     budget_mw: f64,
 ) -> Result<(HaloSystem, Arc<ContinuousTelemetry>), Box<dyn std::error::Error>> {
     let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
-    let window = config.feature_window_frames() as u64;
     let recorder = Arc::new(Recorder::new(65_536).with_sample_rate_hz(SAMPLE_RATE_HZ));
     let monitor = Arc::new(HealthMonitor::new(
         recorder,
@@ -54,12 +53,6 @@ fn build(
     let continuous = Arc::new(ContinuousTelemetry::new(
         monitor,
         ContinuousConfig {
-            tsdb: TsdbConfig {
-                // Tighten the downsampling tiers so a short demo session
-                // still seals buckets (the defaults are sized for hours).
-                bucket_frames: [20 * window, 120 * window],
-                ..TsdbConfig::default()
-            },
             slo: SloConfig::scaled_to(frames),
             ..ContinuousConfig::default()
         },
@@ -210,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deep brownout must raise criticals"
     );
 
-    // --- Continuous-layer state: series, burn rates, anomalies ---
+    // --- Continuous-layer state: series and burn rates ---
     let cs = continuous.status();
     let exposition = expose::render_continuous(&cs);
     assert!(exposition.contains("halo_slo_burn_rate"));

@@ -116,22 +116,8 @@ fn pe_bytes_out_cover_radio_bytes() {
         assert_eq!(snap.pes.len(), runtime.slot_totals().len(), "{task:?}");
         for (pe, t) in snap.pes.iter().zip(runtime.slot_totals()) {
             assert_eq!(
-                [
-                    pe.busy_cycles,
-                    pe.stall_cycles,
-                    pe.bytes_in,
-                    pe.bytes_out,
-                    pe.tokens_in,
-                    pe.tokens_out
-                ],
-                [
-                    t.busy_cycles,
-                    t.stall_cycles,
-                    t.bytes_in,
-                    t.bytes_out,
-                    t.tokens_in,
-                    t.tokens_out
-                ],
+                [pe.busy_cycles, pe.stall_cycles, pe.bytes_in, pe.bytes_out],
+                [t.busy_cycles, t.stall_cycles, t.bytes_in, t.bytes_out],
                 "{task:?}: slot {} counters differ from the runtime's totals",
                 pe.slot
             );

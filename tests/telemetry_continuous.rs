@@ -1,8 +1,6 @@
 //! End-to-end tests for the continuous-telemetry layer: the embedded
-//! time-series store scraping a real pipeline run, multi-resolution
-//! downsampling, byte-stable snapshots, burn-rate alerting under a
-//! shrinking power budget, and anomaly detections surfacing in the
-//! continuous status.
+//! time-series store scraping a real pipeline run, byte-stable
+//! snapshots, and burn-rate alerting under a shrinking power budget.
 
 use std::sync::Arc;
 
@@ -10,7 +8,7 @@ use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
 use halo::telemetry::{
     expose, json, AlertKind, AlertPolicy, ContinuousConfig, ContinuousTelemetry, HealthConfig,
-    HealthMonitor, Recorder, SeriesKind, SloConfig, Tsdb, TsdbConfig,
+    HealthMonitor, Recorder, SeriesKind, SloConfig, TsdbConfig,
 };
 
 const CHANNELS: usize = 8;
@@ -22,34 +20,19 @@ fn session(frames: usize, seed: u64) -> Recording {
         .generate(seed)
 }
 
-/// A compression system with the continuous layer attached. `bucket_frames`
-/// shrinks the downsampling tiers so short test runs still seal buckets.
-fn build(
-    budget_mw: f64,
-    slo: SloConfig,
-    bucket_frames: [u64; 2],
-) -> (HaloSystem, Arc<ContinuousTelemetry>) {
+/// A compression system with the continuous layer attached, under the
+/// default 15 mW budget.
+fn build(layer: ContinuousConfig) -> (HaloSystem, Arc<ContinuousTelemetry>) {
     let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
     let recorder = Arc::new(Recorder::new(65_536).with_sample_rate_hz(30_000));
     let monitor = Arc::new(HealthMonitor::new(
         recorder,
         HealthConfig {
-            budget_mw,
             policy: AlertPolicy::Record,
             ..HealthConfig::default()
         },
     ));
-    let continuous = Arc::new(ContinuousTelemetry::new(
-        monitor,
-        ContinuousConfig {
-            tsdb: TsdbConfig {
-                bucket_frames,
-                ..TsdbConfig::default()
-            },
-            slo,
-            ..ContinuousConfig::default()
-        },
-    ));
+    let continuous = Arc::new(ContinuousTelemetry::new(monitor, layer));
     let mut system = HaloSystem::new(Task::CompressLz4, config).expect("system");
     system.attach_continuous(continuous.clone());
     (system, continuous)
@@ -59,11 +42,7 @@ fn build(
 fn pipeline_run_populates_every_power_series() {
     let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
     let window = config.feature_window_frames() as u64;
-    let (mut system, continuous) = build(
-        15.0,
-        SloConfig::default(),
-        TsdbConfig::default().bucket_frames,
-    );
+    let (mut system, continuous) = build(ContinuousConfig::default());
     system.process(&session(120 * window as usize, 3)).unwrap();
 
     let status = continuous.status();
@@ -92,13 +71,41 @@ fn pipeline_run_populates_every_power_series() {
 }
 
 #[test]
+fn a_run_longer_than_the_ring_keeps_only_its_last_points() {
+    let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
+    let window = config.feature_window_frames() as u64;
+    let (mut system, continuous) = build(ContinuousConfig {
+        tsdb: TsdbConfig { raw_capacity: 16 },
+        ..ContinuousConfig::default()
+    });
+    system.process(&session(40 * window as usize, 5)).unwrap();
+
+    let snapshot = json::parse(&continuous.snapshot_json()).unwrap();
+    let series = snapshot.get("series").and_then(|s| s.as_array()).unwrap();
+    let power = series
+        .iter()
+        .find(|s| s.get("name").and_then(|n| n.as_str()) == Some("power_mw"))
+        .unwrap();
+    let count = |key: &str| power.get(key).and_then(|v| v.as_u64()).unwrap();
+    // 40 power windows through a 16-point ring: the last 16 stay, the
+    // other 24 are only counted.
+    assert_eq!((count("total"), count("dropped")), (40, 24));
+    let frames: Vec<u64> = power
+        .get("raw")
+        .and_then(|r| r.as_array())
+        .unwrap()
+        .iter()
+        .map(|p| p.get("f").and_then(|f| f.as_u64()).unwrap())
+        .collect();
+    // Each power window is stamped with its closing frame: windows 25..=40.
+    let kept: Vec<u64> = (25..=40).map(|w| w * window).collect();
+    assert_eq!(frames, kept);
+}
+
+#[test]
 fn snapshots_are_byte_stable_across_identical_runs_and_repeated_flushes() {
     let run = || {
-        let (mut system, continuous) = build(
-            15.0,
-            SloConfig::default(),
-            TsdbConfig::default().bucket_frames,
-        );
+        let (mut system, continuous) = build(ContinuousConfig::default());
         system.process(&session(4096, 7)).unwrap();
         continuous
     };
@@ -112,57 +119,14 @@ fn snapshots_are_byte_stable_across_identical_runs_and_repeated_flushes() {
 }
 
 #[test]
-fn downsampling_tiers_seal_buckets_that_bound_the_raw_points() {
-    let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
-    let window = config.feature_window_frames() as u64;
-    // Tier 0 buckets span 8 feature windows; 96 windows => 12 sealed.
-    let (mut system, continuous) = build(15.0, SloConfig::default(), [8 * window, 48 * window]);
-    system.process(&session(96 * window as usize, 11)).unwrap();
-
-    let snapshot = json::parse(&continuous.snapshot_json()).unwrap();
-    let series = snapshot.get("series").and_then(|s| s.as_array()).unwrap();
-    let power = series
-        .iter()
-        .find(|s| s.get("name").and_then(|n| n.as_str()) == Some("power_mw"))
-        .unwrap();
-    let raw: Vec<f64> = power
-        .get("raw")
-        .and_then(|r| r.as_array())
-        .unwrap()
-        .iter()
-        .filter_map(|p| p.get("v").and_then(|v| v.as_f64()))
-        .collect();
-    let tiers = power.get("tiers").and_then(|t| t.as_array()).unwrap();
-    let buckets = tiers[0].get("buckets").and_then(|b| b.as_array()).unwrap();
-    assert!(buckets.len() >= 11, "sealed {} buckets", buckets.len());
-
-    let raw_min = raw.iter().cloned().fold(f64::MAX, f64::min);
-    let raw_max = raw.iter().cloned().fold(f64::MIN, f64::max);
-    let mut covered = 0u64;
-    for bucket in buckets {
-        let min = bucket.get("min").and_then(|v| v.as_f64()).unwrap();
-        let max = bucket.get("max").and_then(|v| v.as_f64()).unwrap();
-        let count = bucket.get("count").and_then(|v| v.as_u64()).unwrap();
-        assert!(min >= raw_min && max <= raw_max, "{min}..{max}");
-        assert!(min <= max);
-        covered += count;
-    }
-    // Every bucketed point came from the raw stream (raw ring retains
-    // all 96 windows here, so the aggregate can't invent points).
-    assert!(covered <= raw.len() as u64);
-    assert!(covered >= 88, "buckets aggregate the bulk of the stream");
-}
-
-#[test]
 fn budget_squeeze_fires_burn_rate_alert_through_the_monitor() {
     let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
     let window = config.feature_window_frames() as u64;
     let frames = 120 * window;
-    let (mut system, continuous) = build(
-        15.0,
-        SloConfig::scaled_to(frames),
-        TsdbConfig::default().bucket_frames,
-    );
+    let (mut system, continuous) = build(ContinuousConfig {
+        slo: SloConfig::scaled_to(frames),
+        ..ContinuousConfig::default()
+    });
     let monitor = continuous.monitor().clone();
     let recording = session(frames as usize, 13);
     let samples = recording.samples();
@@ -206,44 +170,8 @@ fn budget_squeeze_fires_burn_rate_alert_through_the_monitor() {
 }
 
 #[test]
-fn budget_step_registers_as_a_power_utilization_anomaly() {
-    let config = HaloConfig::small_test(CHANNELS).channels(CHANNELS);
-    let window = config.feature_window_frames() as u64;
-    let frames = 120 * window;
-    let (mut system, continuous) = build(
-        15.0,
-        SloConfig::default(),
-        TsdbConfig::default().bucket_frames,
-    );
-    let monitor = continuous.monitor().clone();
-    let recording = session(frames as usize, 17);
-    let samples = recording.samples();
-    let half = (frames / 2) as usize * CHANNELS;
-    system.push_block(&samples[..half]).unwrap();
-    // A 4x budget cut quadruples utilization in one window — a spike the
-    // EWMA z-score detector must flag once warmed up.
-    monitor.set_budget_mw(15.0 / 4.0);
-    system.push_block(&samples[half..]).unwrap();
-    system.finalize().unwrap();
-
-    let status = continuous.status();
-    assert!(status.anomalies_total > 0, "step change must be flagged");
-    assert!(
-        status
-            .detections
-            .iter()
-            .any(|d| d.series == SeriesKind::PowerUtilization),
-        "the utilization series carries the spike"
-    );
-}
-
-#[test]
 fn continuous_families_surface_in_the_exposition() {
-    let (mut system, continuous) = build(
-        15.0,
-        SloConfig::default(),
-        TsdbConfig::default().bucket_frames,
-    );
+    let (mut system, continuous) = build(ContinuousConfig::default());
     system.process(&session(4096, 19)).unwrap();
     let exposition = expose::render_continuous(&continuous.status());
     for family in [
@@ -251,126 +179,8 @@ fn continuous_families_surface_in_the_exposition() {
         "halo_tsdb_last_value",
         "halo_slo_burn_rate",
         "halo_slo_firing",
-        "halo_anomaly_detections_total",
     ] {
         assert!(exposition.contains(family), "missing {family}");
     }
     assert!(exposition.contains("series=\"power_mw\""));
-}
-
-#[test]
-fn samples_exactly_on_a_tier_edge_land_in_exactly_one_bucket() {
-    // Off-by-one audit of the downsampling boundary: a sample whose
-    // frame is an exact multiple of a tier's bucket width must open the
-    // new bucket, not fold into (or duplicate across) the one it seals.
-    // Values equal frames, so min/max expose each bucket's membership.
-    let config = TsdbConfig {
-        raw_capacity: 64,
-        bucket_frames: [10, 60],
-        bucket_capacity: 16,
-    };
-    let mut tsdb = Tsdb::new(&config);
-    let frames: Vec<u64> = (0..=60).step_by(5).collect();
-    for &frame in &frames {
-        tsdb.record(SeriesKind::PowerMw, frame, frame as f64);
-    }
-    let series = tsdb.series(SeriesKind::PowerMw);
-
-    for (tier, width) in [(0usize, 10u64), (1, 60)] {
-        let buckets = series.buckets(tier);
-        // Every sample is in some bucket, and only one: counts tile.
-        let counted: u64 = buckets.iter().map(|b| b.count).sum();
-        assert_eq!(
-            counted,
-            frames.len() as u64,
-            "tier {tier} lost/duped a sample"
-        );
-        // Starts are aligned, unique, and strictly increasing — a
-        // boundary sample that leaked backwards would duplicate a start.
-        let starts: Vec<u64> = buckets.iter().map(|b| b.start_frame).collect();
-        assert!(starts.iter().all(|s| s % width == 0));
-        assert!(
-            starts.windows(2).all(|w| w[0] < w[1]),
-            "tier {tier}: {starts:?}"
-        );
-        // Membership respects the half-open range [start, start+width):
-        // the edge sample belongs to the bucket it *starts*.
-        for b in &buckets {
-            assert!(
-                b.min >= b.start_frame as f64 && b.max < (b.start_frame + width) as f64,
-                "tier {tier} bucket {} holds frames outside [{}, {})",
-                b.start_frame,
-                b.start_frame,
-                b.start_frame + width
-            );
-        }
-    }
-
-    // Tier 0 in detail: each sealed decade holds exactly its two samples
-    // (s and s+5), so an edge leak would show up in the sums.
-    let tier0 = series.buckets(0);
-    assert_eq!(
-        tier0.iter().map(|b| b.start_frame).collect::<Vec<_>>(),
-        vec![0, 10, 20, 30, 40, 50, 60]
-    );
-    for b in &tier0[..6] {
-        assert_eq!(b.count, 2, "bucket {}", b.start_frame);
-        assert_eq!(
-            b.sum,
-            (2 * b.start_frame + 5) as f64,
-            "bucket {}",
-            b.start_frame
-        );
-    }
-    // Frame 60 sits alone in the still-open bucket it just started.
-    assert_eq!(tier0[6].count, 1);
-    assert_eq!(tier0[6].sum, 60.0);
-
-    // Tier 1: frame 60 must have sealed [0, 60) with all twelve earlier
-    // samples and none of its own.
-    let tier1 = series.buckets(1);
-    assert_eq!(
-        tier1
-            .iter()
-            .map(|b| (b.start_frame, b.count))
-            .collect::<Vec<_>>(),
-        vec![(0, 12), (60, 1)]
-    );
-    assert_eq!(tier1[0].max, 55.0, "the 60-edge sample leaked into [0, 60)");
-}
-
-#[test]
-fn tier_edge_is_half_open_under_dense_recording() {
-    // Densely record every frame across several boundaries and assert
-    // the sealed bucket immediately left of each edge excludes the edge
-    // frame while the next includes it — for both tiers at once, where
-    // the frame is simultaneously a 10- and 60-edge.
-    let config = TsdbConfig {
-        raw_capacity: 512,
-        bucket_frames: [10, 60],
-        bucket_capacity: 32,
-    };
-    let mut tsdb = Tsdb::new(&config);
-    for frame in 0..=180u64 {
-        tsdb.record(SeriesKind::FifoDepth, frame, frame as f64);
-    }
-    let series = tsdb.series(SeriesKind::FifoDepth);
-    for (tier, width) in [(0usize, 10u64), (1, 60)] {
-        for b in series.buckets(tier) {
-            let sealed_width = b.count.min(width);
-            assert_eq!(b.min, b.start_frame as f64, "tier {tier}");
-            assert_eq!(
-                b.max,
-                (b.start_frame + sealed_width - 1) as f64,
-                "tier {tier} bucket {} absorbed its right edge",
-                b.start_frame
-            );
-        }
-    }
-    // 181 samples: 18 sealed decades + open [180, 190), and 3 sealed
-    // minutes + open [180, 240).
-    assert_eq!(series.buckets(0).iter().map(|b| b.count).sum::<u64>(), 181);
-    assert_eq!(series.buckets(1).iter().map(|b| b.count).sum::<u64>(), 181);
-    assert_eq!(series.buckets(1).len(), 4);
-    assert_eq!(series.buckets(1)[3].count, 1);
 }
