@@ -33,6 +33,49 @@ fn single(exposition: &str, family: &str) -> f64 {
     s[0].1
 }
 
+/// FNV-1a over the text, as in `tests/delivery_golden.rs`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pinned `(budget_mw, exposition, triage)` digests of a 16-session
+/// mixed fleet at 1,200 frames per session: the stock 15 mW envelope,
+/// and a starved budget under which every session latches a post-mortem
+/// that the triage document embeds.
+const FLEET_GOLDEN: [(Option<f64>, u64, u64); 2] = [
+    (None, 0xe818_3c50_537a_b505, 0x9761_3df7_9b1b_d202),
+    (Some(0.0001), 0x94d9_5f69_a14a_decc, 0x1485_5364_4a24_41b5),
+];
+
+#[test]
+fn fleet_reports_match_golden_digests_at_any_worker_count() {
+    let mut mismatches = Vec::new();
+    for (budget, exposition, triage) in FLEET_GOLDEN {
+        for threads in [1, 4] {
+            let mut config = FleetConfig::default()
+                .frames_per_session(1200)
+                .threads(threads);
+            if let Some(mw) = budget {
+                config = config.budget_mw(mw);
+            }
+            let reports = run_fleet(16, &config);
+            let got = (
+                fnv(&registry::render_exposition(&reports)),
+                fnv(&triage::render_triage(&reports, 4)),
+            );
+            if got != (exposition, triage) {
+                mismatches.push(format!(
+                    "budget {budget:?}, {threads} worker(s): exposition {:#018x}, triage {:#018x}",
+                    got.0, got.1
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
 #[test]
 fn fleet_totals_equal_sum_of_session_totals() {
     let config = FleetConfig::default().frames_per_session(300);
