@@ -16,7 +16,7 @@
 
 use std::path::PathBuf;
 
-use halo_fleet::{exemplar, registry, scheduler, triage, FleetConfig, FleetSession, SessionSpec};
+use halo_fleet::{scheduler, FleetConfig, FleetRollup, FleetSession, SessionSpec};
 
 struct Args {
     sessions: usize,
@@ -92,7 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = scheduler::run_sessions(sessions, &config, &fleet_registry);
     let reports = fleet_registry.into_reports();
 
-    let rollup = registry::FleetRollup::from_reports(&reports);
+    // One rollup reads every session once; the summary, both written
+    // reports and the top rows all render from it.
+    let rollup = FleetRollup::from_reports(&reports);
     println!(
         "completed {}/{} sessions in {:.2?} ({:.1} sessions/s, {} batches, {} steals)",
         rollup.completed,
@@ -115,30 +117,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "exemplar tracing: {} frames sampled, {} span trees completed",
         rollup.traces_sampled, rollup.traces_completed,
     );
-    for t in exemplar::collect(&reports).iter().take(3) {
-        match &t.dominant {
-            Some((hop, f)) => println!(
-                "  exemplar session {} [{}] frame {}: {} ns end-to-end, {:.0}% in {}",
-                t.session,
-                t.pipeline,
-                t.root_frame,
-                t.end_to_end_ns,
-                f * 100.0,
-                hop,
-            ),
-            None => println!(
-                "  exemplar session {} [{}] frame {}: {} ns end-to-end",
-                t.session, t.pipeline, t.root_frame, t.end_to_end_ns,
-            ),
-        }
-    }
 
     std::fs::create_dir_all(&args.out_dir)?;
     let expo_path = args.out_dir.join("fleet_exposition.prom");
-    std::fs::write(&expo_path, registry::render_exposition(&reports))?;
+    std::fs::write(&expo_path, rollup.render_exposition())?;
     let triage_path = args.out_dir.join("fleet_triage.json");
-    let triage_doc = triage::render_triage(&reports, args.top);
-    std::fs::write(&triage_path, &triage_doc)?;
+    std::fs::write(&triage_path, rollup.render_triage(args.top))?;
     println!(
         "wrote {} and {}",
         expo_path.display(),
@@ -146,24 +130,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\ntop {} sessions by triage score:", args.top);
-    for row in triage::worst_sessions(&reports, args.top) {
-        let status = row.report.monitor.status();
+    for row in rollup.worst_sessions(args.top) {
+        let (counts, report) = (row.session.health.severity_counts, row.session.report);
         println!(
             "  session {:>3} [{}] score {:>12.1}  alerts i/w/c {}/{}/{}  {}",
-            row.report.spec.id,
-            row.report.spec.task.label(),
+            report.spec.id,
+            report.spec.task.label(),
             row.score,
-            status.severity_counts[0],
-            status.severity_counts[1],
-            status.severity_counts[2],
-            row.report
-                .error
-                .as_deref()
-                .unwrap_or(if row.report.completed() {
-                    "ok"
-                } else {
-                    "incomplete"
-                }),
+            counts[0],
+            counts[1],
+            counts[2],
+            report.error.as_deref().unwrap_or(if report.completed() {
+                "ok"
+            } else {
+                "incomplete"
+            }),
         );
     }
 

@@ -134,7 +134,7 @@ pub struct ExemplarTrace {
 
 /// Collects every completed exemplar trace across the fleet, ordered by
 /// session id then root frame.
-pub fn collect(reports: &[SessionReport]) -> Vec<ExemplarTrace> {
+pub fn collect<'r>(reports: impl IntoIterator<Item = &'r SessionReport>) -> Vec<ExemplarTrace> {
     let mut out = Vec::new();
     for report in reports {
         for record in report.tracer.trees() {

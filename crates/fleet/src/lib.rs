@@ -20,13 +20,15 @@
 //!   batches from all sessions across worker threads, so N sessions make
 //!   progress concurrently instead of serially.
 //! * [`registry`] — completed sessions land in a sharded
-//!   [`FleetRegistry`]; [`registry::render_exposition`] merges their
-//!   counters, log-bucket latency histograms, and power totals into one
+//!   [`FleetRegistry`]; [`FleetRollup::from_reports`] reads each one's
+//!   telemetry once and merges their counters, log-bucket latency
+//!   histograms, power totals, and cycle profiles;
+//!   [`registry::render_exposition`] renders that rollup as one
 //!   Prometheus text exposition with `session`/`pipeline` labels plus
 //!   pre-aggregated `halo_fleet_*` families.
 //! * [`triage`] + [`exemplar`] — [`triage::render_triage`] ranks the
-//!   top-K worst sessions into a fleet post-mortem JSON that embeds the
-//!   offending sessions' flight-recorder dumps verbatim; the
+//!   same rollup's top-K worst sessions into a fleet post-mortem JSON
+//!   that embeds the offending sessions' flight-recorder dumps verbatim; the
 //!   [`exemplar::Elector`] deterministically elects ~1-in-N sessions per
 //!   window for exemplar tracing so span-tree coverage scales with the
 //!   fleet instead of with per-session overhead.
@@ -64,6 +66,6 @@ pub use campaign::{
     render_campaign, run_campaign, CampaignConfig, CampaignSessionReport, CampaignTotals,
 };
 pub use exemplar::{Elector, ExemplarConfig, ExemplarTrace};
-pub use registry::{fleet_profile, FleetRegistry, FleetRollup};
+pub use registry::{fleet_profile, FleetRegistry, FleetRollup, SessionDigest};
 pub use scheduler::{run, FleetRunStats};
 pub use session::{FleetConfig, FleetSession, SessionReport, SessionSpec};

@@ -3,16 +3,20 @@
 //! Workers admit finished sessions concurrently, so reports land in a
 //! sharded [`FleetRegistry`] (lock contention scales with shard count,
 //! not fleet size). The rollup side is pure: [`FleetRollup::from_reports`]
+//! reads each session's live handles once into a [`SessionDigest`] and
 //! merges per-session counters, log-bucket latency histograms (exact
-//! bucket-wise merge via [`LogHistogram::merge`]), and power totals;
-//! [`render_exposition`] turns that into one Prometheus text exposition
-//! carrying both pre-aggregated `halo_fleet_*` families and per-session
-//! series labeled `session`/`pipeline`.
+//! bucket-wise merge via [`LogHistogram::merge`]), power totals and cycle
+//! profiles. The exposition and the triage document render from that
+//! rollup alone: [`render_exposition`] turns it into one Prometheus text
+//! exposition carrying both pre-aggregated `halo_fleet_*` families and
+//! per-session series labeled `session`/`pipeline`.
 
 use std::sync::Mutex;
 
-use halo_telemetry::expose::{escape_label, Exposition};
-use halo_telemetry::{CycleProfile, LogHistogram, Severity};
+use halo_telemetry::expose::{escape_label, sample, Exposition};
+use halo_telemetry::{
+    CycleProfile, HealthStatus, HistogramSummary, LogHistogram, Severity, SloStatus,
+};
 
 use crate::session::SessionReport;
 
@@ -58,7 +62,7 @@ impl FleetRegistry {
 }
 
 /// Per-pipeline slice of the fleet rollup.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PipelineRollup {
     /// Pipeline display label.
     pub pipeline: &'static str,
@@ -74,9 +78,33 @@ pub struct PipelineRollup {
     pub latency: LogHistogram,
 }
 
-/// Fleet-wide aggregation of every session report.
+/// One finished session as the fleet reports see it: what
+/// [`FleetRollup::from_reports`] read from its live handles, once.
 #[derive(Debug)]
-pub struct FleetRollup {
+pub struct SessionDigest<'a> {
+    /// The session's report (spec, error, profile, post-mortem).
+    pub report: &'a SessionReport,
+    /// Frames ingested, from the recorder.
+    pub frames: u64,
+    /// Radio bytes transmitted, from the recorder.
+    pub radio_bytes: u64,
+    /// The watchdog's alert counts and worst power window.
+    pub health: HealthStatus,
+    /// SLO burn-rate state, when the session ran a continuous layer.
+    pub slo: Option<SloStatus>,
+    /// Frame latency merged over the session's pipelines.
+    pub latency: HistogramSummary,
+    /// Largest per-pipeline p99 frame latency, nanoseconds.
+    pub worst_p99_ns: u64,
+    /// The session profile's dominant frame and its cycle share.
+    pub dominant: Option<(String, f64)>,
+}
+
+/// Fleet-wide aggregation of every session report. The triage side
+/// ([`FleetRollup::render_triage`], [`FleetRollup::worst_sessions`])
+/// lives in [`crate::triage`].
+#[derive(Debug, Default)]
+pub struct FleetRollup<'a> {
     /// Sessions in the fleet.
     pub sessions: u64,
     /// Sessions that finalized cleanly.
@@ -91,6 +119,10 @@ pub struct FleetRollup {
     pub noc_bytes: u64,
     /// Alert totals indexed by [`Severity`] as usize.
     pub severity_counts: [u64; 3],
+    /// SLO burn-rate firing transitions across the fleet.
+    pub slo_firings: u64,
+    /// Worst current SLO burn rate of any session.
+    pub max_burn_rate: f64,
     /// Summed modeled device power, milliwatts.
     pub device_mw: f64,
     /// Summed modeled processing power, milliwatts.
@@ -103,28 +135,25 @@ pub struct FleetRollup {
     pub traces_sampled: u64,
     /// Exemplar traces completed across the fleet.
     pub traces_completed: u64,
+    /// Every session's cycle profile merged (see [`fleet_profile`]).
+    pub profile: CycleProfile,
+    /// One digest per session, in session-id order.
+    pub digests: Vec<SessionDigest<'a>>,
 }
 
-impl FleetRollup {
+impl<'a> FleetRollup<'a> {
     /// Aggregates `reports` (any order; grouping is by session id order).
-    pub fn from_reports(reports: &[SessionReport]) -> FleetRollup {
+    /// This is the one place the fleet reports read a session's recorder,
+    /// watchdog status, SLO status and latency histograms.
+    pub fn from_reports(reports: &'a [SessionReport]) -> FleetRollup<'a> {
         let mut ordered: Vec<&SessionReport> = reports.iter().collect();
         ordered.sort_by_key(|r| r.spec.id);
 
         let mut rollup = FleetRollup {
             sessions: ordered.len() as u64,
-            completed: 0,
-            failed: 0,
-            frames: 0,
-            radio_bytes: 0,
-            noc_bytes: 0,
-            severity_counts: [0; 3],
-            device_mw: 0.0,
-            processing_mw: 0.0,
-            latency: LogHistogram::new(),
-            pipelines: Vec::new(),
-            traces_sampled: 0,
-            traces_completed: 0,
+            profile: fleet_profile(reports),
+            digests: Vec::with_capacity(ordered.len()),
+            ..FleetRollup::default()
         };
         for report in ordered {
             if report.completed() {
@@ -136,13 +165,18 @@ impl FleetRollup {
             rollup.frames += snap.frames;
             rollup.radio_bytes += snap.radio_bytes;
             rollup.noc_bytes += snap.noc_bytes();
-            let status = report.monitor.status();
+            let health = report.monitor.status();
             for (total, n) in rollup
                 .severity_counts
                 .iter_mut()
-                .zip(status.severity_counts)
+                .zip(health.severity_counts)
             {
                 *total += n;
+            }
+            let slo = report.continuous.as_ref().map(|c| c.status().slo);
+            if let Some(slo) = &slo {
+                rollup.slo_firings += slo.total_fired();
+                rollup.max_burn_rate = rollup.max_burn_rate.max(slo.max_burn_rate());
             }
             rollup.device_mw += report.device_mw;
             rollup.processing_mw += report.processing_mw;
@@ -156,11 +190,7 @@ impl FleetRollup {
                 None => {
                     rollup.pipelines.push(PipelineRollup {
                         pipeline: label,
-                        sessions: 0,
-                        frames: 0,
-                        radio_bytes: 0,
-                        device_mw: 0.0,
-                        latency: LogHistogram::new(),
+                        ..PipelineRollup::default()
                     });
                     rollup.pipelines.len() - 1
                 }
@@ -170,291 +200,242 @@ impl FleetRollup {
             slice.frames += snap.frames;
             slice.radio_bytes += snap.radio_bytes;
             slice.device_mw += report.device_mw;
+            let mut latency = LogHistogram::new();
+            let mut worst_p99_ns = 0;
             for (_, hist) in report.recorder.pipeline_histograms() {
+                worst_p99_ns = worst_p99_ns.max(hist.percentile(99.0));
+                latency.merge(&hist);
                 slice.latency.merge(&hist);
                 rollup.latency.merge(&hist);
             }
+            rollup.digests.push(SessionDigest {
+                report,
+                frames: snap.frames,
+                radio_bytes: snap.radio_bytes,
+                health,
+                slo,
+                latency: latency.summary(),
+                worst_p99_ns,
+                dominant: report.profile.as_ref().and_then(|p| p.dominant_frame()),
+            });
         }
         rollup
+    }
+
+    /// The digest of session `id`, if it is in the fleet.
+    pub(crate) fn digest(&self, id: u64) -> Option<&SessionDigest<'a>> {
+        let i = self.digests.partition_point(|d| d.report.spec.id < id);
+        self.digests.get(i).filter(|d| d.report.spec.id == id)
+    }
+
+    /// Renders the fleet as one Prometheus text exposition: pre-aggregated
+    /// `halo_fleet_*` families first, then per-session series labeled
+    /// `session="<id>",pipeline="<label>"`, then the merged fleet
+    /// flamegraph as `halo_profile_*` families rooted at
+    /// `device="fleet"`. Everything is in insertion or session-id order,
+    /// so the render is byte-stable at any worker count.
+    pub fn render_exposition(&self) -> String {
+        let mut e = Exposition::new();
+
+        e.family(
+            "halo_fleet_sessions",
+            "gauge",
+            "Patient sessions in the fleet.",
+        );
+        e.value("halo_fleet_sessions", "", self.sessions);
+        e.family(
+            "halo_fleet_sessions_completed",
+            "gauge",
+            "Sessions whose stream finalized cleanly.",
+        );
+        e.value("halo_fleet_sessions_completed", "", self.completed);
+        e.family(
+            "halo_fleet_sessions_failed",
+            "gauge",
+            "Sessions that ended in a runtime error.",
+        );
+        e.value("halo_fleet_sessions_failed", "", self.failed);
+
+        e.family(
+            "halo_fleet_frames_total",
+            "counter",
+            "Sample frames ingested across every session.",
+        );
+        e.value("halo_fleet_frames_total", "", self.frames);
+        e.family(
+            "halo_fleet_radio_bytes_total",
+            "counter",
+            "Radio bytes transmitted across every session.",
+        );
+        e.value("halo_fleet_radio_bytes_total", "", self.radio_bytes);
+        e.family(
+            "halo_fleet_noc_bytes_total",
+            "counter",
+            "NoC bytes moved across every session.",
+        );
+        e.value("halo_fleet_noc_bytes_total", "", self.noc_bytes);
+
+        e.family(
+            "halo_fleet_alerts_total",
+            "counter",
+            "Watchdog alerts raised across the fleet, by severity.",
+        );
+        for sev in SEVERITIES {
+            e.value(
+                "halo_fleet_alerts_total",
+                &format!("severity=\"{}\"", sev.label()),
+                self.severity_counts[sev as usize],
+            );
+        }
+
+        e.family(
+            "halo_fleet_power_mw",
+            "gauge",
+            "Summed modeled whole-device power across the fleet, milliwatts.",
+        );
+        e.value("halo_fleet_power_mw", "", sample(self.device_mw));
+        e.family(
+            "halo_fleet_processing_power_mw",
+            "gauge",
+            "Summed modeled processing power across the fleet, milliwatts.",
+        );
+        e.value(
+            "halo_fleet_processing_power_mw",
+            "",
+            sample(self.processing_mw),
+        );
+
+        e.family(
+            "halo_fleet_frame_latency_ns",
+            "histogram",
+            "End-to-end frame latency merged across every session, nanoseconds.",
+        );
+        e.histogram("halo_fleet_frame_latency_ns", "", &self.latency);
+
+        e.family(
+            "halo_fleet_frame_latency_quantile_ns",
+            "gauge",
+            "Per-pipeline fleet frame-latency quantiles, nanoseconds.",
+        );
+        for p in &self.pipelines {
+            e.quantiles(
+                "halo_fleet_frame_latency_quantile_ns",
+                &format!("pipeline=\"{}\"", escape_label(p.pipeline)),
+                &p.latency.summary(),
+            );
+        }
+
+        e.family(
+            "halo_fleet_traces_sampled_total",
+            "counter",
+            "Frames tagged for exemplar tracing across the fleet.",
+        );
+        e.value("halo_fleet_traces_sampled_total", "", self.traces_sampled);
+        e.family(
+            "halo_fleet_traces_completed_total",
+            "counter",
+            "Exemplar span trees completed across the fleet.",
+        );
+        e.value(
+            "halo_fleet_traces_completed_total",
+            "",
+            self.traces_completed,
+        );
+
+        // --- Per-session series ---
+        let labels: Vec<String> = self.digests.iter().map(session_labels).collect();
+        e.family(
+            "halo_session_up",
+            "gauge",
+            "1 when the session finalized cleanly, 0 when it failed.",
+        );
+        for (d, l) in self.digests.iter().zip(&labels) {
+            e.value("halo_session_up", l, u64::from(d.report.completed()));
+        }
+        e.family(
+            "halo_session_frames_total",
+            "counter",
+            "Sample frames ingested per session.",
+        );
+        for (d, l) in self.digests.iter().zip(&labels) {
+            e.value("halo_session_frames_total", l, d.frames);
+        }
+        e.family(
+            "halo_session_radio_bytes_total",
+            "counter",
+            "Radio bytes transmitted per session.",
+        );
+        for (d, l) in self.digests.iter().zip(&labels) {
+            e.value("halo_session_radio_bytes_total", l, d.radio_bytes);
+        }
+        e.family(
+            "halo_session_power_mw",
+            "gauge",
+            "Modeled whole-device power per session, milliwatts.",
+        );
+        for (d, l) in self.digests.iter().zip(&labels) {
+            e.value("halo_session_power_mw", l, sample(d.report.device_mw));
+        }
+        e.family(
+            "halo_session_alerts_total",
+            "counter",
+            "Watchdog alerts per session, by severity.",
+        );
+        for d in &self.digests {
+            for sev in SEVERITIES {
+                e.value(
+                    "halo_session_alerts_total",
+                    &format!(
+                        "session=\"{}\",severity=\"{}\"",
+                        d.report.spec.id,
+                        sev.label()
+                    ),
+                    d.health.severity_counts[sev as usize],
+                );
+            }
+        }
+        e.family(
+            "halo_session_frame_latency_ns",
+            "gauge",
+            "Per-session end-to-end frame-latency quantiles, nanoseconds.",
+        );
+        for (d, l) in self.digests.iter().zip(&labels) {
+            e.quantiles("halo_session_frame_latency_ns", l, &d.latency);
+        }
+
+        self.profile.render_exposition_into(&mut e);
+        e.finish()
     }
 }
 
 const SEVERITIES: [Severity; 3] = [Severity::Info, Severity::Warning, Severity::Critical];
 
-/// Renders the fleet as one Prometheus text exposition: pre-aggregated
-/// `halo_fleet_*` families first, then per-session series labeled
-/// `session="<id>",pipeline="<label>"`. Output over the same reports is
-/// byte-identical (insertion-ordered families, id-ordered sessions).
+/// Renders the fleet as one Prometheus text exposition; see
+/// [`FleetRollup::render_exposition`]. Output over the same reports is
+/// byte-identical.
 pub fn render_exposition(reports: &[SessionReport]) -> String {
-    let rollup = FleetRollup::from_reports(reports);
-    let mut ordered: Vec<&SessionReport> = reports.iter().collect();
-    ordered.sort_by_key(|r| r.spec.id);
-
-    let mut e = Exposition::new();
-
-    e.family(
-        "halo_fleet_sessions",
-        "gauge",
-        "Patient sessions in the fleet.",
-    );
-    e.value("halo_fleet_sessions", "", rollup.sessions);
-    e.family(
-        "halo_fleet_sessions_completed",
-        "gauge",
-        "Sessions whose stream finalized cleanly.",
-    );
-    e.value("halo_fleet_sessions_completed", "", rollup.completed);
-    e.family(
-        "halo_fleet_sessions_failed",
-        "gauge",
-        "Sessions that ended in a runtime error.",
-    );
-    e.value("halo_fleet_sessions_failed", "", rollup.failed);
-
-    e.family(
-        "halo_fleet_frames_total",
-        "counter",
-        "Sample frames ingested across every session.",
-    );
-    e.value("halo_fleet_frames_total", "", rollup.frames);
-    e.family(
-        "halo_fleet_radio_bytes_total",
-        "counter",
-        "Radio bytes transmitted across every session.",
-    );
-    e.value("halo_fleet_radio_bytes_total", "", rollup.radio_bytes);
-    e.family(
-        "halo_fleet_noc_bytes_total",
-        "counter",
-        "NoC bytes moved across every session.",
-    );
-    e.value("halo_fleet_noc_bytes_total", "", rollup.noc_bytes);
-
-    e.family(
-        "halo_fleet_alerts_total",
-        "counter",
-        "Watchdog alerts raised across the fleet, by severity.",
-    );
-    for sev in SEVERITIES {
-        e.value(
-            "halo_fleet_alerts_total",
-            &format!("severity=\"{}\"", sev.label()),
-            rollup.severity_counts[sev as usize],
-        );
-    }
-
-    e.family(
-        "halo_fleet_power_mw",
-        "gauge",
-        "Summed modeled whole-device power across the fleet, milliwatts.",
-    );
-    e.value(
-        "halo_fleet_power_mw",
-        "",
-        halo_telemetry::expose::sample(rollup.device_mw),
-    );
-    e.family(
-        "halo_fleet_processing_power_mw",
-        "gauge",
-        "Summed modeled processing power across the fleet, milliwatts.",
-    );
-    e.value(
-        "halo_fleet_processing_power_mw",
-        "",
-        halo_telemetry::expose::sample(rollup.processing_mw),
-    );
-
-    e.family(
-        "halo_fleet_frame_latency_ns",
-        "histogram",
-        "End-to-end frame latency merged across every session, nanoseconds.",
-    );
-    if rollup.latency.count() != 0 {
-        for (bound, cumulative) in rollup.latency.cumulative_buckets() {
-            e.value(
-                "halo_fleet_frame_latency_ns_bucket",
-                &format!("le=\"{bound}\""),
-                cumulative,
-            );
-        }
-        e.value(
-            "halo_fleet_frame_latency_ns_bucket",
-            "le=\"+Inf\"",
-            rollup.latency.count(),
-        );
-        e.value("halo_fleet_frame_latency_ns_sum", "", rollup.latency.sum());
-        e.value(
-            "halo_fleet_frame_latency_ns_count",
-            "",
-            rollup.latency.count(),
-        );
-    }
-
-    e.family(
-        "halo_fleet_frame_latency_quantile_ns",
-        "gauge",
-        "Per-pipeline fleet frame-latency quantiles, nanoseconds.",
-    );
-    for p in &rollup.pipelines {
-        if p.latency.count() == 0 {
-            continue;
-        }
-        let s = p.latency.summary();
-        let pl = escape_label(p.pipeline);
-        for (q, v) in [
-            ("0.5", s.p50),
-            ("0.9", s.p90),
-            ("0.99", s.p99),
-            ("1", s.max),
-        ] {
-            e.value(
-                "halo_fleet_frame_latency_quantile_ns",
-                &format!("pipeline=\"{pl}\",quantile=\"{q}\""),
-                v,
-            );
-        }
-    }
-
-    e.family(
-        "halo_fleet_traces_sampled_total",
-        "counter",
-        "Frames tagged for exemplar tracing across the fleet.",
-    );
-    e.value("halo_fleet_traces_sampled_total", "", rollup.traces_sampled);
-    e.family(
-        "halo_fleet_traces_completed_total",
-        "counter",
-        "Exemplar span trees completed across the fleet.",
-    );
-    e.value(
-        "halo_fleet_traces_completed_total",
-        "",
-        rollup.traces_completed,
-    );
-
-    // --- Per-session series ---
-    e.family(
-        "halo_session_up",
-        "gauge",
-        "1 when the session finalized cleanly, 0 when it failed.",
-    );
-    for r in &ordered {
-        e.value(
-            "halo_session_up",
-            &session_labels(r),
-            u64::from(r.completed()),
-        );
-    }
-    e.family(
-        "halo_session_frames_total",
-        "counter",
-        "Sample frames ingested per session.",
-    );
-    for r in &ordered {
-        e.value(
-            "halo_session_frames_total",
-            &session_labels(r),
-            r.recorder.snapshot().frames,
-        );
-    }
-    e.family(
-        "halo_session_radio_bytes_total",
-        "counter",
-        "Radio bytes transmitted per session.",
-    );
-    for r in &ordered {
-        e.value(
-            "halo_session_radio_bytes_total",
-            &session_labels(r),
-            r.recorder.snapshot().radio_bytes,
-        );
-    }
-    e.family(
-        "halo_session_power_mw",
-        "gauge",
-        "Modeled whole-device power per session, milliwatts.",
-    );
-    for r in &ordered {
-        e.value(
-            "halo_session_power_mw",
-            &session_labels(r),
-            halo_telemetry::expose::sample(r.device_mw),
-        );
-    }
-    e.family(
-        "halo_session_alerts_total",
-        "counter",
-        "Watchdog alerts per session, by severity.",
-    );
-    for r in &ordered {
-        let counts = r.monitor.status().severity_counts;
-        for sev in SEVERITIES {
-            e.value(
-                "halo_session_alerts_total",
-                &format!("session=\"{}\",severity=\"{}\"", r.spec.id, sev.label()),
-                counts[sev as usize],
-            );
-        }
-    }
-    e.family(
-        "halo_session_frame_latency_ns",
-        "gauge",
-        "Per-session end-to-end frame-latency quantiles, nanoseconds.",
-    );
-    for r in &ordered {
-        let mut merged = LogHistogram::new();
-        for (_, hist) in r.recorder.pipeline_histograms() {
-            merged.merge(&hist);
-        }
-        if merged.count() == 0 {
-            continue;
-        }
-        let s = merged.summary();
-        for (q, v) in [
-            ("0.5", s.p50),
-            ("0.9", s.p90),
-            ("0.99", s.p99),
-            ("1", s.max),
-        ] {
-            e.value(
-                "halo_session_frame_latency_ns",
-                &format!("{},quantile=\"{q}\"", session_labels(r)),
-                v,
-            );
-        }
-    }
-
-    // The merged fleet flamegraph: one `halo_profile_*` family set rooted
-    // at `device="fleet"`, summed frame-for-frame over the id-ordered
-    // session profiles (so the render is byte-stable at any worker
-    // count, like everything else here).
-    fleet_profile(reports).render_exposition_into(&mut e);
-
-    e.finish()
+    FleetRollup::from_reports(reports).render_exposition()
 }
 
 /// Merges every session's cycle profile into one fleet-rooted
 /// [`CycleProfile`] (device `"fleet"`). Sessions without a profile (none,
 /// in a stock fleet) contribute nothing; merge order is session-id order,
-/// and since merging is commutative cell-wise the result is byte-stable
-/// across worker counts.
+/// so the summed energies are byte-stable across worker counts.
 pub fn fleet_profile(reports: &[SessionReport]) -> CycleProfile {
     let mut ordered: Vec<&SessionReport> = reports.iter().collect();
     ordered.sort_by_key(|r| r.spec.id);
     let mut fleet = CycleProfile::new("fleet");
-    for report in ordered {
-        if let Some(profile) = &report.profile {
-            fleet.merge(profile);
-        }
+    for profile in ordered.iter().filter_map(|r| r.profile.as_ref()) {
+        fleet.merge(profile);
     }
     fleet
 }
 
-fn session_labels(report: &SessionReport) -> String {
+fn session_labels(session: &SessionDigest) -> String {
     format!(
         "session=\"{}\",pipeline=\"{}\"",
-        report.spec.id,
-        escape_label(report.spec.task.label())
+        session.report.spec.id,
+        escape_label(session.report.spec.task.label())
     )
 }
 

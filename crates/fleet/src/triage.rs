@@ -8,50 +8,37 @@
 //! totals, the top-K worst sessions, and, for any session that latched
 //! a flight-recorder dump, that session's post-mortem embedded verbatim
 //! (it is already JSON, so the triage document stays machine-parseable
-//! end to end).
+//! end to end). Everything but the post-mortems and the exemplar span
+//! trees comes from the [`FleetRollup`]'s per-session digests.
 
 use halo_telemetry::{json, CycleProfile};
 
 use crate::exemplar;
-use crate::registry::fleet_profile;
+use crate::registry::{FleetRollup, SessionDigest};
 use crate::session::SessionReport;
 
 /// One scored row of the triage table.
 #[derive(Debug)]
 pub struct TriageRow<'a> {
     /// The session under triage.
-    pub report: &'a SessionReport,
+    pub session: &'a SessionDigest<'a>,
     /// Composite badness score (higher = worse); see [`score`] — plus the
-    /// profile-divergence term added by [`worst_sessions`].
+    /// profile-divergence term added by [`FleetRollup::worst_sessions`].
     pub score: f64,
     /// How far the session's cycle attribution sits from the fleet norm
     /// for its pipeline (max absolute share delta over its frames).
     pub divergence: f64,
-    /// The session profile's dominant frame and its cycle share.
-    pub dominant: Option<(String, f64)>,
 }
 
 /// Composite badness: a runtime error or critical alert is always worse
 /// than any number of warnings, which in turn dominate tail latency. The
 /// p99 term (in microseconds) breaks ties between healthy sessions so the
 /// triage table stays fully ordered and deterministic.
-pub fn score(report: &SessionReport) -> f64 {
-    let status = report.monitor.status();
-    let critical = status.severity_counts[2] as f64;
-    let warning = status.severity_counts[1] as f64;
-    let error = if report.error.is_some() { 1.0 } else { 0.0 };
-    let p99_us = worst_p99_ns(report) as f64 / 1e3;
+pub fn score(session: &SessionDigest) -> f64 {
+    let [_, warning, critical] = session.health.severity_counts.map(|n| n as f64);
+    let error = session.report.error.as_ref().map_or(0.0, |_| 1.0);
+    let p99_us = session.worst_p99_ns as f64 / 1e3;
     (critical + error) * 1e9 + warning * 1e6 + p99_us
-}
-
-fn worst_p99_ns(report: &SessionReport) -> u64 {
-    report
-        .recorder
-        .pipeline_histograms()
-        .iter()
-        .map(|(_, h)| h.summary().p99)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Per-frame-path cycle shares within `pipeline`, as fractions of that
@@ -104,207 +91,178 @@ pub fn profile_divergence(report: &SessionReport, fleet: &CycleProfile) -> f64 {
     max
 }
 
-/// Scores every session and returns the `k` worst, worst first. The
-/// profile-divergence term (scaled to stay below one warning alert)
-/// ranks attribution outliers above merely slow sessions, without ever
-/// outranking a real alert. Ties break toward the lower session id so
-/// the ordering is total.
-pub fn worst_sessions(reports: &[SessionReport], k: usize) -> Vec<TriageRow<'_>> {
-    let fleet = fleet_profile(reports);
-    let mut rows: Vec<TriageRow> = reports
-        .iter()
-        .map(|report| {
-            let divergence = profile_divergence(report, &fleet);
-            TriageRow {
-                report,
-                score: score(report) + divergence * 1e4,
-                divergence,
-                dominant: report.profile.as_ref().and_then(|p| p.dominant_frame()),
-            }
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.report.spec.id.cmp(&b.report.spec.id))
-    });
-    rows.truncate(k);
-    rows
+/// `{"info": …, "warning": …, "critical": …}` for alert totals.
+fn alerts_json(counts: [u64; 3]) -> String {
+    format!(
+        "{{\"info\": {}, \"warning\": {}, \"critical\": {}}}",
+        counts[0], counts[1], counts[2]
+    )
 }
 
-/// Renders the fleet triage document: totals, the top-`k` worst
-/// sessions, offending sessions' embedded post-mortems, and the
-/// exemplar-trace digest. The output is valid JSON (checked by tests
-/// with [`json::parse`]).
-pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
-    let mut severity = [0u64; 3];
-    let mut frames = 0u64;
-    let mut completed = 0u64;
-    let mut slo_firings = 0u64;
-    let mut max_burn = 0.0f64;
-    for report in reports {
-        let status = report.monitor.status();
-        for (total, n) in severity.iter_mut().zip(status.severity_counts) {
-            *total += n;
-        }
-        frames += report.recorder.snapshot().frames;
-        if report.completed() {
-            completed += 1;
-        }
-        if let Some(continuous) = &report.continuous {
-            let cs = continuous.status();
-            slo_firings += cs.slo.total_fired();
-            max_burn = max_burn.max(cs.slo.max_burn_rate());
-        }
-    }
-
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"sessions\": {},\n", reports.len()));
-    out.push_str(&format!("  \"completed\": {completed},\n"));
-    out.push_str(&format!(
-        "  \"failed\": {},\n",
-        reports.len() as u64 - completed
-    ));
-    out.push_str(&format!("  \"frames\": {frames},\n"));
-    out.push_str(&format!(
-        "  \"alerts\": {{\"info\": {}, \"warning\": {}, \"critical\": {}}},\n",
-        severity[0], severity[1], severity[2]
-    ));
-    out.push_str(&format!(
-        "  \"slo\": {{\"firings\": {slo_firings}, \"max_burn_rate\": {}}},\n",
-        json::number(max_burn)
-    ));
-
-    // The merged fleet profile's one-line verdict: where the fleet's
-    // cycles go, fleet-wide.
-    let fleet = fleet_profile(reports);
-    let fleet_dominant = match fleet.dominant_frame() {
-        Some((frame, share)) => format!(
+/// `{"frame": …, "share": …}` for a profile's dominant frame, or `null`.
+fn dominant_json(dominant: Option<&(String, f64)>) -> String {
+    dominant.map_or("null".to_string(), |(frame, share)| {
+        format!(
             "{{\"frame\": {}, \"share\": {}}}",
-            json::string(&frame),
-            json::number(share)
-        ),
-        None => "null".to_string(),
-    };
-    out.push_str(&format!(
-        "  \"profile\": {{\"total_cycles\": {}, \"frames\": {}, \"dominant\": {fleet_dominant}}},\n",
-        fleet.total_cycles(),
-        fleet.frames
-    ));
+            json::string(frame),
+            json::number(*share)
+        )
+    })
+}
 
-    out.push_str("  \"worst\": [\n");
-    let rows = worst_sessions(reports, k);
-    for (i, row) in rows.iter().enumerate() {
-        let r = row.report;
-        let status = r.monitor.status();
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"session\": {},\n", r.spec.id));
-        out.push_str(&format!(
-            "      \"pipeline\": {},\n",
-            json::string(r.spec.task.label())
-        ));
-        out.push_str(&format!("      \"score\": {},\n", json::number(row.score)));
-        out.push_str(&format!(
-            "      \"alerts\": {{\"info\": {}, \"warning\": {}, \"critical\": {}}},\n",
-            status.severity_counts[0], status.severity_counts[1], status.severity_counts[2]
-        ));
-        out.push_str(&format!("      \"p99_ns\": {},\n", worst_p99_ns(r)));
-        let dominant = match &row.dominant {
-            Some((frame, share)) => format!(
-                "{{\"frame\": {}, \"share\": {}}}",
-                json::string(frame),
-                json::number(*share)
-            ),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "      \"profile\": {{\"dominant\": {dominant}, \"divergence\": {}}},\n",
-            json::number(row.divergence)
-        ));
-        match &r.continuous {
-            Some(continuous) => {
-                let cs = continuous.status();
-                let mut burns = Vec::new();
-                for (name, state) in &cs.slo.objectives {
-                    let burn = state.burn_rate[0].max(state.burn_rate[1]);
-                    let fired = state.fired[0] + state.fired[1];
-                    if burn > 0.0 || fired > 0 {
-                        burns.push(format!(
-                            "{{\"objective\": {}, \"burn_rate\": {}, \"firings\": {fired}}}",
-                            json::string(name),
-                            json::number(burn)
-                        ));
-                    }
-                }
-                out.push_str(&format!("      \"slo\": [{}],\n", burns.join(", ")));
-            }
-            None => out.push_str("      \"slo\": null,\n"),
-        }
-        match status.worst_window {
-            Some((frame, mw)) => out.push_str(&format!(
-                "      \"worst_window\": {{\"frame\": {frame}, \"mw\": {}}},\n",
-                json::number(mw)
-            )),
-            None => out.push_str("      \"worst_window\": null,\n"),
-        }
-        match &r.error {
-            Some(e) => out.push_str(&format!("      \"error\": {},\n", json::string(e))),
-            None => out.push_str("      \"error\": null,\n"),
-        }
-        // The flight recorder's dump is already a JSON object; embed it
-        // verbatim so nested fields stay queryable.
-        match r.monitor.postmortem() {
-            Some(pm) => out.push_str(&format!("      \"postmortem\": {pm}\n")),
-            None => out.push_str("      \"postmortem\": null\n"),
-        }
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"exemplars\": [\n");
-    let traces = exemplar::collect(reports);
-    for (i, t) in traces.iter().enumerate() {
-        let dominant = match &t.dominant {
-            Some((label, fraction)) => format!(
-                "{{\"hop\": {}, \"fraction\": {}}}",
-                json::string(label),
-                json::number(*fraction)
-            ),
-            None => "null".to_string(),
-        };
-        // Cross-link the traced session's profile verdict: the exemplar
-        // explains one frame's latency, the profile says whether that
-        // session's aggregate attribution agrees.
-        let profile_dominant = reports
+impl FleetRollup<'_> {
+    /// Scores every session and returns the `k` worst, worst first. The
+    /// profile-divergence term (scaled to stay below one warning alert)
+    /// ranks attribution outliers above merely slow sessions, without
+    /// ever outranking a real alert. Ties break toward the lower session
+    /// id so the ordering is total.
+    pub fn worst_sessions(&self, k: usize) -> Vec<TriageRow<'_>> {
+        let mut rows: Vec<TriageRow> = self
+            .digests
             .iter()
-            .find(|r| r.spec.id == t.session)
-            .and_then(|r| r.profile.as_ref())
-            .and_then(|p| p.dominant_frame())
-            .map_or("null".to_string(), |(frame, share)| {
-                format!(
-                    "{{\"frame\": {}, \"share\": {}}}",
-                    json::string(&frame),
-                    json::number(share)
-                )
-            });
-        out.push_str(&format!(
-            "    {{\"session\": {}, \"pipeline\": {}, \"frame\": {}, \"end_to_end_ns\": {}, \"dominant\": {dominant}, \"profile_dominant\": {profile_dominant}}}{}\n",
-            t.session,
-            json::string(t.pipeline),
-            t.root_frame,
-            t.end_to_end_ns,
-            if i + 1 == traces.len() { "" } else { "," }
-        ));
+            .map(|session| {
+                let divergence = profile_divergence(session.report, &self.profile);
+                TriageRow {
+                    session,
+                    score: score(session) + divergence * 1e4,
+                    divergence,
+                }
+            })
+            .collect();
+        rows.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.session.report.spec.id.cmp(&b.session.report.spec.id))
+        });
+        rows.truncate(k);
+        rows
     }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+
+    /// Renders the fleet triage document: totals, the top-`k` worst
+    /// sessions, offending sessions' embedded post-mortems, and the
+    /// exemplar-trace digest. The output is valid JSON (checked by tests
+    /// with [`json::parse`]).
+    pub fn render_triage(&self, k: usize) -> String {
+        let mut out = String::with_capacity(4096);
+        out.push_str("{\n");
+        out.push_str(&format!("  \"sessions\": {},\n", self.sessions));
+        out.push_str(&format!("  \"completed\": {},\n", self.completed));
+        out.push_str(&format!("  \"failed\": {},\n", self.failed));
+        out.push_str(&format!("  \"frames\": {},\n", self.frames));
+        out.push_str(&format!(
+            "  \"alerts\": {},\n",
+            alerts_json(self.severity_counts)
+        ));
+        out.push_str(&format!(
+            "  \"slo\": {{\"firings\": {}, \"max_burn_rate\": {}}},\n",
+            self.slo_firings,
+            json::number(self.max_burn_rate)
+        ));
+        // The merged fleet profile's one-line verdict: where the fleet's
+        // cycles go, fleet-wide.
+        out.push_str(&format!(
+            "  \"profile\": {{\"total_cycles\": {}, \"frames\": {}, \"dominant\": {}}},\n",
+            self.profile.total_cycles(),
+            self.profile.frames,
+            dominant_json(self.profile.dominant_frame().as_ref())
+        ));
+
+        out.push_str("  \"worst\": [\n");
+        let rows = self.worst_sessions(k);
+        for (i, row) in rows.iter().enumerate() {
+            let (d, r) = (row.session, row.session.report);
+            out.push_str("    {\n");
+            out.push_str(&format!("      \"session\": {},\n", r.spec.id));
+            out.push_str(&format!(
+                "      \"pipeline\": {},\n",
+                json::string(r.spec.task.label())
+            ));
+            out.push_str(&format!("      \"score\": {},\n", json::number(row.score)));
+            out.push_str(&format!(
+                "      \"alerts\": {},\n",
+                alerts_json(d.health.severity_counts)
+            ));
+            out.push_str(&format!("      \"p99_ns\": {},\n", d.worst_p99_ns));
+            out.push_str(&format!(
+                "      \"profile\": {{\"dominant\": {}, \"divergence\": {}}},\n",
+                dominant_json(d.dominant.as_ref()),
+                json::number(row.divergence)
+            ));
+            match &d.slo {
+                Some(slo) => {
+                    let mut burns = Vec::new();
+                    for (name, state) in &slo.objectives {
+                        let burn = state.burn_rate[0].max(state.burn_rate[1]);
+                        let fired = state.fired[0] + state.fired[1];
+                        if burn > 0.0 || fired > 0 {
+                            burns.push(format!(
+                                "{{\"objective\": {}, \"burn_rate\": {}, \"firings\": {fired}}}",
+                                json::string(name),
+                                json::number(burn)
+                            ));
+                        }
+                    }
+                    out.push_str(&format!("      \"slo\": [{}],\n", burns.join(", ")));
+                }
+                None => out.push_str("      \"slo\": null,\n"),
+            }
+            match d.health.worst_window {
+                Some((frame, mw)) => out.push_str(&format!(
+                    "      \"worst_window\": {{\"frame\": {frame}, \"mw\": {}}},\n",
+                    json::number(mw)
+                )),
+                None => out.push_str("      \"worst_window\": null,\n"),
+            }
+            match &r.error {
+                Some(e) => out.push_str(&format!("      \"error\": {},\n", json::string(e))),
+                None => out.push_str("      \"error\": null,\n"),
+            }
+            // The flight recorder's dump is already a JSON object; embed
+            // it verbatim so nested fields stay queryable. Only the rows
+            // shown read it, so it stays out of the digest.
+            let pm = r.monitor.postmortem().unwrap_or_else(|| "null".to_string());
+            out.push_str(&format!("      \"postmortem\": {pm}\n    }}"));
+            out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
+        }
+        out.push_str("  ],\n");
+
+        out.push_str("  \"exemplars\": [\n");
+        let traces = exemplar::collect(self.digests.iter().map(|d| d.report));
+        for (i, t) in traces.iter().enumerate() {
+            let dominant = match &t.dominant {
+                Some((label, fraction)) => format!(
+                    "{{\"hop\": {}, \"fraction\": {}}}",
+                    json::string(label),
+                    json::number(*fraction)
+                ),
+                None => "null".to_string(),
+            };
+            // Cross-link the traced session's profile verdict: the
+            // exemplar explains one frame's latency, the profile says
+            // whether that session's aggregate attribution agrees.
+            let profile_dominant =
+                dominant_json(self.digest(t.session).and_then(|d| d.dominant.as_ref()));
+            out.push_str(&format!(
+                "    {{\"session\": {}, \"pipeline\": {}, \"frame\": {}, \"end_to_end_ns\": {}, \"dominant\": {dominant}, \"profile_dominant\": {profile_dominant}}}{}\n",
+                t.session,
+                json::string(t.pipeline),
+                t.root_frame,
+                t.end_to_end_ns,
+                if i + 1 == traces.len() { "" } else { "," }
+            ));
+        }
+        out.push_str("  ]\n");
+        out.push_str("}\n");
+        out
+    }
+}
+
+/// Renders the fleet triage document over `reports`, reading each
+/// session once through a [`FleetRollup`]; see
+/// [`FleetRollup::render_triage`].
+pub fn render_triage(reports: &[SessionReport], k: usize) -> String {
+    FleetRollup::from_reports(reports).render_triage(k)
 }
 
 #[cfg(test)]
@@ -354,7 +312,8 @@ mod tests {
         let specs = SessionSpec::mixed(6, &config);
         let registry = crate::run(specs, &config).unwrap();
         let reports = registry.into_reports();
-        let rows = worst_sessions(&reports, 6);
+        let rollup = FleetRollup::from_reports(&reports);
+        let rows = rollup.worst_sessions(6);
         assert!(rows.windows(2).all(|w| w[0].score >= w[1].score));
         // No alerts expected under the real 15 mW envelope.
         assert!(rows.iter().all(|r| r.score < 1e6));

@@ -12,6 +12,7 @@
 //! times are exposed as summary-style `quantile` gauges.
 
 use crate::health::HealthMonitor;
+use crate::histogram::{HistogramSummary, LogHistogram};
 use crate::recorder::Recorder;
 use crate::sink::Severity;
 use crate::span_tree::CriticalPathSummary;
@@ -122,6 +123,40 @@ impl Exposition {
             self.out.push_str(&format!("{name} {v}\n"));
         } else {
             self.out.push_str(&format!("{name}{{{labels}}} {v}\n"));
+        }
+    }
+
+    /// Appends one histogram series: cumulative `_bucket` lines ending at
+    /// `le="+Inf"`, then `_sum` and `_count`, each carrying `labels`
+    /// (pre-escaped, empty for none). An empty histogram appends nothing.
+    pub fn histogram(&mut self, name: &str, labels: &str, hist: &LogHistogram) {
+        if hist.count() == 0 {
+            return;
+        }
+        let bucket = format!("{name}_bucket");
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (bound, cumulative) in hist.cumulative_buckets() {
+            self.value(&bucket, &format!("{labels}{sep}le=\"{bound}\""), cumulative);
+        }
+        self.value(&bucket, &format!("{labels}{sep}le=\"+Inf\""), hist.count());
+        self.value(&format!("{name}_sum"), labels, hist.sum());
+        self.value(&format!("{name}_count"), labels, hist.count());
+    }
+
+    /// Appends summary-style p50/p90/p99/max gauges of `digest`, each
+    /// carrying `labels` (pre-escaped, non-empty) plus a `quantile`
+    /// label. An empty digest appends nothing.
+    pub fn quantiles(&mut self, name: &str, labels: &str, digest: &HistogramSummary) {
+        if digest.count == 0 {
+            return;
+        }
+        for (q, v) in [
+            ("0.5", digest.p50),
+            ("0.9", digest.p90),
+            ("0.99", digest.p99),
+            ("1", digest.max),
+        ] {
+            self.value(name, &format!("{labels},quantile=\"{q}\""), v);
         }
     }
 
@@ -260,25 +295,11 @@ pub fn render_recorder_into(e: &mut Exposition, recorder: &Recorder) {
         "Per-PE window service-time quantiles, nanoseconds.",
     );
     for pe in &snap.pes {
-        if pe.service.count == 0 {
-            continue;
-        }
-        for (q, v) in [
-            ("0.5", pe.service.p50),
-            ("0.9", pe.service.p90),
-            ("0.99", pe.service.p99),
-            ("1", pe.service.max),
-        ] {
-            e.value(
-                "halo_pe_service_ns",
-                &format!(
-                    "slot=\"{}\",pe=\"{}\",quantile=\"{q}\"",
-                    pe.slot,
-                    escape_label(pe.name)
-                ),
-                v,
-            );
-        }
+        e.quantiles(
+            "halo_pe_service_ns",
+            &format!("slot=\"{}\",pe=\"{}\"", pe.slot, escape_label(pe.name)),
+            &pe.service,
+        );
     }
 
     e.family(
@@ -312,32 +333,8 @@ pub fn render_recorder_into(e: &mut Exposition, recorder: &Recorder) {
         "End-to-end frame latency per pipeline, nanoseconds.",
     );
     for (pipeline, hist) in recorder.pipeline_histograms() {
-        if hist.count() == 0 {
-            continue;
-        }
-        let pl = escape_label(pipeline);
-        for (bound, cumulative) in hist.cumulative_buckets() {
-            e.value(
-                "halo_frame_latency_ns_bucket",
-                &format!("pipeline=\"{pl}\",le=\"{bound}\""),
-                cumulative,
-            );
-        }
-        e.value(
-            "halo_frame_latency_ns_bucket",
-            &format!("pipeline=\"{pl}\",le=\"+Inf\""),
-            hist.count(),
-        );
-        e.value(
-            "halo_frame_latency_ns_sum",
-            &format!("pipeline=\"{pl}\""),
-            hist.sum(),
-        );
-        e.value(
-            "halo_frame_latency_ns_count",
-            &format!("pipeline=\"{pl}\""),
-            hist.count(),
-        );
+        let labels = format!("pipeline=\"{}\"", escape_label(pipeline));
+        e.histogram("halo_frame_latency_ns", &labels, &hist);
     }
 }
 
