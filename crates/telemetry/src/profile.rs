@@ -312,7 +312,7 @@ impl CycleProfile {
             };
             rows.push(ProfileRow {
                 pipeline: row.get("pipeline")?.as_str()?.to_string(),
-                slot: row.get("slot")?.as_u64()? as u8,
+                slot: u8::try_from(row.get("slot")?.as_u64()?).ok()?,
                 pe: row.get("pe")?.as_str()?.to_string(),
                 phase,
                 cycles: row.get("cycles")?.as_u64()?,

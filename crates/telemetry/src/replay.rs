@@ -95,6 +95,10 @@ fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
 }
 
+fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(field_u64(v, key)?).map_err(|_| format!("field {key:?} does not fit in 32 bits"))
+}
+
 impl TraceLog {
     /// Serializes to binary-stable JSON (same log ⇒ same bytes).
     pub fn write(&self) -> String {
@@ -161,8 +165,8 @@ impl TraceLog {
             16,
         )
         .map_err(|e| format!("bad config_fingerprint: {e}"))?;
-        let channels = field_u64(&doc, "channels")? as u32;
-        let sample_rate_hz = field_u64(&doc, "sample_rate_hz")? as u32;
+        let channels = field_u32(&doc, "channels")?;
+        let sample_rate_hz = field_u32(&doc, "sample_rate_hz")?;
         let switch_words = field(&doc, "switch_words")?
             .as_array()
             .ok_or("switch_words is not an array")?
@@ -204,7 +208,7 @@ impl TraceLog {
                 Ok(StimRecord {
                     frame: field_u64(entry, "frame")?,
                     latency_frames: field_u64(entry, "latency_frames")?,
-                    commands: field_u64(entry, "commands")? as u32,
+                    commands: field_u32(entry, "commands")?,
                 })
             })
             .collect::<Result<Vec<StimRecord>, String>>()?;

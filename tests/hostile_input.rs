@@ -1,6 +1,8 @@
 //! Hostile input against the readers of untrusted text: `json::parse`,
-//! `json::validate` and `TraceLog::read` return `Ok` or `Err` on anything,
-//! and never panic or overflow the stack.
+//! `json::validate`, `TraceLog::read` (and `Checkpoint::read` through it)
+//! and `CycleProfile::from_json` return `Ok`/`Some` or `Err`/`None` on
+//! anything, never panic or overflow the stack, and reject integers too
+//! wide for their field instead of truncating them.
 //!
 //! Mutations are drawn from the workspace's deterministic [`SimRng`], so
 //! every run explores the same inputs and a failure reproduces exactly.
@@ -10,8 +12,9 @@ use std::panic::catch_unwind;
 use halo::core::tasks::movement;
 use halo::core::trace::capture;
 use halo::core::{HaloConfig, HaloSystem, Task};
+use halo::faults::Checkpoint;
 use halo::signal::{RecordingConfig, RegionProfile, SimRng};
-use halo::telemetry::{json, TraceLog};
+use halo::telemetry::{json, CycleProfile, TraceLog};
 
 /// Far deeper than any stack holds one recursion level per bracket.
 const HOSTILE_DEPTH: usize = 100_000;
@@ -81,6 +84,92 @@ fn truncated_and_corrupted_trace_logs_never_panic() {
             let outcome = catch_unwind(|| {
                 let _ = json::validate(input);
                 let _ = TraceLog::read(input);
+            });
+            assert!(
+                outcome.is_ok(),
+                "case {case}: panicked (cut at {cut}, byte {byte:#04x} at {at})"
+            );
+        }
+    }
+}
+
+/// `value` plus 2^32: an `as u32` cast would read it back as `value`.
+fn wrapped_u32(value: u32) -> u64 {
+    u64::from(value) + (1 << 32)
+}
+
+#[test]
+fn trace_log_integers_wider_than_their_field_are_errors() {
+    let text = captured_log();
+    let log = TraceLog::read(&text).unwrap();
+    for (field, value) in [
+        ("channels", log.channels),
+        ("sample_rate_hz", log.sample_rate_hz),
+        ("commands", log.stim[0].commands),
+    ] {
+        let from = format!("\"{field}\":{value}");
+        assert!(text.contains(&from), "{field} is written as {from}");
+        let hostile = text.replacen(&from, &format!("\"{field}\":{}", wrapped_u32(value)), 1);
+        let err = TraceLog::read(&hostile).unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+        assert_eq!(Checkpoint::read(&hostile).unwrap_err(), err);
+    }
+    // The widest value that fits still reads.
+    let from = format!("\"channels\":{}", log.channels);
+    let widest = text.replacen(&from, &format!("\"channels\":{}", u32::MAX), 1);
+    assert_eq!(TraceLog::read(&widest).unwrap().channels, u32::MAX);
+}
+
+/// The cycle profile of a short profiled LZ4 run, as `to_json` writes it.
+fn profile_json() -> String {
+    let channels = 4;
+    let rec = RecordingConfig::new(RegionProfile::arm())
+        .channels(channels)
+        .duration_ms(20)
+        .generate(5);
+    let mut sys = HaloSystem::new(Task::CompressLz4, HaloConfig::small_test(channels)).unwrap();
+    sys.attach_profile();
+    sys.process(&rec).unwrap();
+    let profile = sys.profile("0").expect("profiling is attached");
+    assert!(profile.rows.len() > 1, "a multi-PE profile");
+    profile.to_json()
+}
+
+#[test]
+fn profile_slot_wider_than_a_byte_is_rejected() {
+    let text = profile_json();
+    let profile = CycleProfile::from_json(&json::parse(&text).unwrap()).unwrap();
+    let slot = profile.rows[0].slot;
+    let from = format!("\"slot\":{slot}");
+    let read = |to: u64| {
+        let doc = text.replace(&from, &format!("\"slot\":{to}"));
+        CycleProfile::from_json(&json::parse(&doc).unwrap())
+    };
+    // 300 would read back as slot 44 under an `as u8` cast.
+    for to in [256, 300, wrapped_u32(u32::from(slot))] {
+        assert_eq!(read(to), None, "slot {to} must not load");
+    }
+    let widest = read(255).expect("slot 255 fits in a byte");
+    assert!(widest.rows.iter().any(|r| r.slot == 255));
+}
+
+#[test]
+fn truncated_and_corrupted_profiles_never_panic() {
+    let text = profile_json();
+    assert!(text.is_ascii(), "every cut is a char boundary");
+    let mut rng = SimRng::new(0xc1c1_e5ed);
+    for case in 0..2000 {
+        let cut = rng.range_usize(0, text.len());
+        let at = rng.range_usize(0, text.len());
+        let byte = rng.range_u64(0, 0x80) as u8;
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = byte;
+        let corrupted = String::from_utf8(bytes).unwrap();
+        for input in [&text[..cut], corrupted.as_str()] {
+            let outcome = catch_unwind(|| {
+                if let Ok(value) = json::parse(input) {
+                    let _ = CycleProfile::from_json(&value);
+                }
             });
             assert!(
                 outcome.is_ok(),
