@@ -3,12 +3,18 @@
 //! off. Faults scheduled inside a provably-quiet chunk must still be
 //! observed (the dispatcher clamps its skip at the next due fault), and
 //! checkpoint recovery must be byte-identical whichever dispatch mode
-//! snapshotted or restored the run.
+//! snapshotted or restored the run. A golden net pins the campaign
+//! triage and every latched post-mortem at 1 and 4 workers.
+
+use std::sync::Arc;
 
 use halo::core::runtime::{FaultAction, RuntimeError, ScheduledFault};
 use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::faults::{ChaosConfig, ChaosSession, Checkpoint, FaultPlan, FaultPlanConfig, Outcome};
+use halo::fleet::{campaign, CampaignConfig};
+use halo::noc::{Fabric, NodeId, Route};
 use halo::signal::{RecordingConfig, RegionProfile};
+use halo::telemetry::{json, HealthConfig, HealthMonitor, Recorder};
 
 fn chaos_config(task: Task, block_dispatch: bool) -> ChaosConfig {
     let mut cfg = ChaosConfig::new(task);
@@ -127,4 +133,168 @@ fn checkpoint_recovery_is_byte_identical_across_dispatch_modes() {
             }
         }
     }
+}
+
+/// FNV-1a over the text, as in `tests/delivery_golden.rs`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pinned `(seed, triage, post-mortems)` digests of a 16-session chaos
+/// campaign: the triage document `render_campaign` writes, then each
+/// session's latched post-mortem in session order (`None` where none was
+/// latched). The first seed is CI's `fault_campaign --sessions 16`.
+const CAMPAIGN_GOLDEN: [(u64, u64, [Option<u64>; 16]); 2] = [
+    (
+        0x000F_1EE7,
+        0x4752_66b0_ae8f_ac02,
+        [
+            Some(0xca6d_3f78_09e4_049f),
+            Some(0x2925_9f3b_37ce_0588),
+            Some(0x421d_f6c8_f266_3bbf),
+            Some(0x76e7_6b57_1a6b_e01c),
+            Some(0xcec2_b293_04e2_a1ba),
+            Some(0xd02f_de34_26f4_dfc0),
+            Some(0x40c3_d6bd_2150_c259),
+            Some(0x0025_5687_77d9_5ccf),
+            Some(0xa6a7_e053_d088_d58e),
+            Some(0x2764_2679_be7f_f017),
+            Some(0xe6fb_0796_325d_bc1c),
+            Some(0xe373_e43d_be5a_8a12),
+            Some(0xe9fb_d19c_3c18_c2d1),
+            Some(0x23e6_16d5_ca7b_2645),
+            Some(0xd982_2a6a_0cd7_14d4),
+            Some(0x4a1b_0bc8_56db_a07c),
+        ],
+    ),
+    (
+        7,
+        0xdb24_a660_981c_700a,
+        [
+            Some(0x8d22_f3e8_251b_1304),
+            Some(0x8bb9_1059_e664_5ef8),
+            Some(0x3e5b_8fd0_8ed6_44ad),
+            Some(0x7faf_0044_d18a_7a84),
+            Some(0x844b_e401_7ace_a95b),
+            Some(0xe99d_9c35_5a19_4c1c),
+            Some(0x3837_58b1_2c6b_5572),
+            Some(0x3013_2607_281c_11fa),
+            Some(0xdffc_81df_f64e_3bfd),
+            Some(0x7dcf_609a_1ef5_2f14),
+            Some(0x0b1b_9fa7_7c2e_3720),
+            Some(0x0bf1_4cd6_6676_0d6f),
+            Some(0x26af_727f_8854_1a4b),
+            Some(0x50eb_402b_0198_e86e),
+            Some(0x2aae_8b81_ada4_b659),
+            Some(0x2bf0_0ec4_6498_be3a),
+        ],
+    ),
+];
+
+#[test]
+fn campaign_triage_and_postmortems_match_golden_digests_at_any_worker_count() {
+    let mut mismatches = Vec::new();
+    for (seed, triage, postmortems) in CAMPAIGN_GOLDEN {
+        for threads in [1, 4] {
+            let config = CampaignConfig::default()
+                .sessions(16)
+                .seed(seed)
+                .threads(threads);
+            let reports = campaign::run_campaign(&config);
+            let got_triage = fnv(&campaign::render_campaign(&config, &reports));
+            let got: Vec<Option<u64>> = reports.iter().map(|r| r.postmortem().map(fnv)).collect();
+            if got_triage != triage || got != postmortems {
+                let rows: Vec<String> = got
+                    .iter()
+                    .map(|d| d.map_or("None".to_string(), |d| format!("Some({d:#018x})")))
+                    .collect();
+                mismatches.push(format!(
+                    "seed {seed:#x}, {threads} worker(s): ({seed:#x}, {got_triage:#018x}, [{}])",
+                    rows.join(", ")
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Pinned FNV-1a of the post-mortem two rogue MMIO words at one frame
+/// latch.
+const TWO_ROGUE_WORDS_POSTMORTEM: u64 = 0xd9a6_6e57_6a68_5481;
+
+/// Two faults due at the same frame are both applied and both reported
+/// before the first error reaches the flight recorder, so the latched
+/// post-mortem lists each of them.
+#[test]
+fn two_faults_at_one_frame_both_reach_the_postmortem() {
+    let channels = 2;
+    let rogue = |to: usize| {
+        Fabric::encode_route(Route {
+            from: NodeId(0),
+            to: NodeId(to),
+            to_port: 0,
+        })
+    };
+    let words = [rogue(0xE1), rogue(0xE2)];
+    let mut system =
+        HaloSystem::new(Task::SpikeDetectNeo, HaloConfig::small_test(channels)).unwrap();
+    let monitor = Arc::new(HealthMonitor::new(
+        Arc::new(Recorder::new(256)),
+        HealthConfig::default(),
+    ));
+    system.attach_health(monitor.clone());
+    let samples: Vec<i16> = (0..64 * channels as i16).map(|t| (t * 37) % 500).collect();
+    system.push_block(&samples[..40 * channels]).unwrap();
+    system.runtime_mut().attach_faults(
+        words
+            .iter()
+            .map(|&word| ScheduledFault {
+                frame: 40,
+                action: FaultAction::RogueMmio { word },
+            })
+            .collect(),
+    );
+    let injected = system.push_block(&samples[40 * channels..41 * channels]);
+    assert!(
+        matches!(
+            injected,
+            Err(SystemError::Runtime(
+                RuntimeError::Fabric(_) | RuntimeError::NoSuchNode(_)
+            ))
+        ),
+        "{injected:?}"
+    );
+    assert_eq!(system.runtime().frames(), 40);
+
+    let postmortem = monitor
+        .postmortem()
+        .expect("the error latches a post-mortem");
+    let doc = json::parse(&postmortem).unwrap();
+    let faults = doc.get("recent_faults").and_then(|f| f.as_array()).unwrap();
+    let listed: Vec<(u64, &str, u64, bool)> = faults
+        .iter()
+        .map(|f| {
+            (
+                f.get("frame").and_then(|v| v.as_u64()).unwrap(),
+                f.get("kind").and_then(|v| v.as_str()).unwrap(),
+                f.get("detail").and_then(|v| v.as_u64()).unwrap(),
+                f.get("detected").and_then(|v| v.as_bool()).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        words
+            .iter()
+            .map(|&w| (40, "rogue_mmio", w as u64, true))
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(
+        fnv(&postmortem),
+        TWO_ROGUE_WORDS_POSTMORTEM,
+        "post-mortem digest {:#018x}",
+        fnv(&postmortem)
+    );
 }
