@@ -129,6 +129,10 @@ impl Fabric {
     /// Switch word that clears all routes (pipeline teardown).
     pub const WORD_CLEAR: u32 = 0;
 
+    /// Bits 24–30, between the VALID flag and the source node: reserved
+    /// as zero, so every word the fabric accepts re-encodes to itself.
+    const WORD_RESERVED: u32 = 0x7F00_0000;
+
     /// Modeled peak capacity of one link, in bytes per second. The
     /// asynchronous 8-bit SEND-ACK bus (§IV-D) is modeled at one byte per
     /// handshake with a 46.08 M handshakes/s ceiling — 8x headroom over
@@ -191,8 +195,9 @@ impl Fabric {
     ///
     /// # Errors
     ///
-    /// Returns [`FabricError`] if the word is malformed or the route
-    /// contends for a port.
+    /// Returns [`FabricError::BadSwitchWord`] if the word lacks the VALID
+    /// flag or sets a reserved bit, and [`FabricError::PortContention`] if
+    /// the route contends for a port.
     pub fn program(&mut self, word: u32) -> Result<(), FabricError> {
         if word == Self::WORD_CLEAR {
             self.routes.clear();
@@ -201,7 +206,7 @@ impl Fabric {
             self.generation += 1;
             return Ok(());
         }
-        if word & Self::WORD_VALID == 0 {
+        if word & Self::WORD_VALID == 0 || word & Self::WORD_RESERVED != 0 {
             return Err(FabricError::BadSwitchWord(word));
         }
         let route = Route {
@@ -435,6 +440,13 @@ mod tests {
             fabric.program(0x0001_0100),
             Err(FabricError::BadSwitchWord(0x0001_0100))
         );
+        // Reserved bits set: would load as route 0 -> 1 port 2 and
+        // re-encode as 0x8000_0102.
+        assert_eq!(
+            fabric.program(0xFF00_0102),
+            Err(FabricError::BadSwitchWord(0xFF00_0102))
+        );
+        assert!(fabric.routes().is_empty());
     }
 
     #[test]

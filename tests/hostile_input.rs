@@ -2,7 +2,9 @@
 //! `json::validate`, `TraceLog::read` (and `Checkpoint::read` through it)
 //! and `CycleProfile::from_json` return `Ok`/`Some` or `Err`/`None` on
 //! anything, never panic or overflow the stack, and reject integers too
-//! wide for their field instead of truncating them.
+//! wide for their field instead of truncating them. The fabric's MMIO
+//! switch-word decoder gets the same treatment: any 32-bit word either
+//! loads a route that re-encodes to it or fails with a typed error.
 //!
 //! Mutations are drawn from the workspace's deterministic [`SimRng`], so
 //! every run explores the same inputs and a failure reproduces exactly.
@@ -13,6 +15,7 @@ use halo::core::tasks::movement;
 use halo::core::trace::capture;
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::faults::Checkpoint;
+use halo::noc::{Fabric, FabricError};
 use halo::signal::{RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::{json, CycleProfile, TraceLog};
 
@@ -177,4 +180,50 @@ fn truncated_and_corrupted_profiles_never_panic() {
             );
         }
     }
+}
+
+/// §IV-E: the controller programs routes as 32-bit MMIO words, and
+/// `Fabric::encoded_routes` must reproduce exactly the words it was fed.
+/// 100,000 SimRng words (half with VALID forced, a quarter of those with
+/// the reserved bits cleared too) go into one fabric, cleared every 256
+/// words: none may panic, every accepted route word re-encodes to itself,
+/// and every rejected word fails as a bad word or a contended port.
+#[test]
+fn random_switch_words_reencode_or_fail_typed() {
+    let mut rng = SimRng::new(0x5717_c4e5);
+    let mut fabric = Fabric::new();
+    let (mut accepted, mut bad, mut contended) = (0, 0, 0);
+    for n in 0..100_000u32 {
+        if n % 256 == 0 {
+            fabric.program(Fabric::WORD_CLEAR).unwrap();
+        }
+        let mut word = rng.next_u64() as u32;
+        if rng.range_u64(0, 2) == 0 {
+            word |= Fabric::WORD_VALID;
+            if rng.range_u64(0, 4) == 0 {
+                word &= !0x7F00_0000;
+            }
+        }
+        match fabric.program(word) {
+            Ok(()) if word == Fabric::WORD_CLEAR => {}
+            Ok(()) => {
+                accepted += 1;
+                assert_eq!(
+                    fabric.encoded_routes().last(),
+                    Some(&word),
+                    "{word:#010x} loaded a route that re-encodes differently"
+                );
+            }
+            Err(FabricError::BadSwitchWord(w)) => {
+                assert_eq!(w, word);
+                bad += 1;
+            }
+            Err(FabricError::PortContention { .. }) => contended += 1,
+            Err(other) => panic!("{word:#010x}: unexpected {other:?}"),
+        }
+    }
+    assert!(
+        accepted > 1_000 && bad > 1_000 && contended > 0,
+        "{accepted} {bad} {contended}"
+    );
 }
