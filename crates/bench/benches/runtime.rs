@@ -13,7 +13,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use halo_core::runtime::{FaultAction, ScheduledFault};
 use halo_core::{HaloConfig, HaloSystem, Task};
 use halo_signal::{Recording, RecordingConfig, RegionProfile};
 use halo_telemetry::{
@@ -478,26 +477,6 @@ fn main() {
     );
     print_ab("tracing", tracing_names, &tracing);
 
-    // Fault-hook A/B: the chaos harness's injection hook must be free
-    // when no schedule is attached (the shipped default, a single
-    // `Option` check) and within the ≤2% envelope armed but idle: the
-    // only fault sits past the end of the stream, so every frame pays the
-    // cursor check and nothing ever fires.
-    let fault_names = ["off", "armed"];
-    let faults = interleaved(
-        pair,
-        channels,
-        &rec,
-        41,
-        [&|_| {}, &|sys| {
-            sys.runtime_mut().attach_faults(vec![ScheduledFault {
-                frame: u64::MAX,
-                action: FaultAction::FifoBitFlip { slot: 0, bit: 0 },
-            }])
-        }],
-    );
-    print_ab("faults", fault_names, &faults);
-
     // Batched-dispatch A/B: quiet-chunk SoA dispatch vs the per-frame
     // scalar path on the two short feature pipelines it targets. Both
     // produce byte-identical outputs (the `kernel_batching` suite); this
@@ -544,7 +523,6 @@ fn main() {
                 overhead_json(continuous_names, &continuous),
             ),
             ("tracing_overhead", overhead_json(tracing_names, &tracing)),
-            ("fault_overhead", overhead_json(fault_names, &faults)),
         ] {
             json.push_str(&format!("],\"{key}\":[{rows}"));
         }

@@ -126,7 +126,8 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// One deterministic hardware fault the harness can inject mid-stream.
+/// One deterministic hardware fault, injected between frames through
+/// [`crate::HaloSystem::inject_faults`].
 ///
 /// Data-plane corruptions ([`FaultAction::FifoBitFlip`],
 /// [`FaultAction::FifoOverflow`], [`FaultAction::PeOutputCorrupt`]) model
@@ -215,31 +216,6 @@ impl FaultAction {
     }
 }
 
-/// A fault pinned to the frame index at which it fires (applied before
-/// that frame's samples are ingested).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledFault {
-    /// Frame index at which the fault is applied.
-    pub frame: u64,
-    /// The fault itself.
-    pub action: FaultAction,
-}
-
-/// Attached fault schedule: sorted by frame, consumed through a cursor so
-/// a harness that catches an error can read how far injection progressed
-/// and re-attach only the remainder after a restore.
-#[derive(Debug, Default)]
-struct FaultState {
-    schedule: Vec<ScheduledFault>,
-    cursor: usize,
-}
-
-impl FaultState {
-    fn next_due_frame(&self) -> Option<u64> {
-        self.schedule.get(self.cursor).map(|f| f.frame)
-    }
-}
-
 /// Modeled NoC serialization cost: interconnect links clock at the
 /// fabric's link capacity, one byte per handshake.
 const NS_PER_LINK_BYTE: f64 = 1.0e9 / Fabric::LINK_CAPACITY_BYTES_PER_S as f64;
@@ -252,7 +228,7 @@ const NO_SLOT: usize = usize::MAX;
 
 /// Whether `pe`'s output FIFO holds data, so a push into it stalls.
 fn occupied(pe: &dyn ProcessingElement) -> bool {
-    pe.output_fifo().is_some_and(|f| !f.is_empty())
+    !pe.output_fifo().is_empty()
 }
 
 /// Whether two of `targets` name the same slot.
@@ -425,11 +401,6 @@ pub struct Runtime {
     trace_stall_scratch: Vec<u64>,
     /// Reusable source-delivery spans of a traced frame or quiet chunk.
     source_spans: Vec<SourceSpan>,
-    /// Attached fault schedule, or `None` (the overwhelmingly common
-    /// case) — disabled costs one `is_some()` branch per frame, proven
-    /// ≤2% the same way as tracing (`fault_overhead` in
-    /// `BENCH_runtime.json`).
-    faults: Option<Box<FaultState>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -499,7 +470,6 @@ impl Runtime {
             open_tags: Vec::new(),
             trace_stall_scratch: Vec::new(),
             source_spans: Vec::new(),
-            faults: None,
         };
         runtime.rebuild_route_table();
         Ok(runtime)
@@ -582,26 +552,6 @@ impl Runtime {
     /// A/B knob the equivalence tests and benchmarks flip.
     pub fn set_block_dispatch(&mut self, on: bool) {
         self.block_dispatch = on;
-    }
-
-    /// Attaches a fault schedule. Faults fire at their exact frame index,
-    /// *before* that frame's samples are ingested — with block dispatch on,
-    /// quiet chunks are clamped at the next scheduled fault so injection
-    /// timing is identical either way. The schedule is stably sorted by
-    /// frame; attaching replaces any previous schedule.
-    pub fn attach_faults(&mut self, mut schedule: Vec<ScheduledFault>) {
-        schedule.sort_by_key(|f| f.frame);
-        self.faults = Some(Box::new(FaultState {
-            schedule,
-            cursor: 0,
-        }));
-    }
-
-    /// How many scheduled faults have been applied so far. A harness that
-    /// catches an injected error reads this from the poisoned system to
-    /// learn which suffix of its master schedule is still pending.
-    pub fn fault_cursor(&self) -> usize {
-        self.faults.as_ref().map_or(0, |s| s.cursor)
     }
 
     /// The stream's [`CycleProfile`] so far, rooted at `device` with its
@@ -752,15 +702,6 @@ impl Runtime {
                 // fires at exactly the scalar cadence.
                 quiet = quiet.min(self.window_frames - (self.frame_idx - self.window_start));
             }
-            if let Some(state) = &self.faults {
-                // Stop at the next scheduled fault so it lands on the
-                // scalar path at its exact frame index — a fault due
-                // inside a would-be quiet chunk forces `chunk == 0` and a
-                // per-frame push that applies it.
-                if let Some(due) = state.next_due_frame() {
-                    quiet = quiet.min(due.saturating_sub(self.frame_idx));
-                }
-            }
             let chunk = quiet.min((frames - f) as u64) as usize;
             if chunk == 0 {
                 self.push_frame_inner(&block[f * frame_len..(f + 1) * frame_len])?;
@@ -820,13 +761,6 @@ impl Runtime {
     }
 
     fn push_frame_inner(&mut self, frame: &[i16]) -> Result<(), RuntimeError> {
-        // Fault hook: one branch when disabled. Due faults are applied
-        // before this frame's samples are ingested, so an injected error
-        // leaves the frame un-consumed and `frames()` names the exact
-        // resume point for checkpoint/restore.
-        if self.faults.is_some() {
-            self.apply_due_faults()?;
-        }
         let sink_on = self.sink.enabled();
         if sink_on {
             self.open_frames();
@@ -916,51 +850,18 @@ impl Runtime {
         }
     }
 
-    /// Applies every scheduled fault due at the current frame. All due
-    /// faults are applied (and reported to telemetry) even when an early
-    /// one errors, so the cursor always reflects exactly what was
-    /// injected; the first error is returned.
-    fn apply_due_faults(&mut self) -> Result<(), RuntimeError> {
-        let Some(mut state) = self.faults.take() else {
-            return Ok(());
-        };
-        let mut result = Ok(());
-        while state
-            .schedule
-            .get(state.cursor)
-            .is_some_and(|f| f.frame <= self.frame_idx)
-        {
-            let fault = state.schedule[state.cursor];
-            state.cursor += 1;
-            let applied = self.apply_fault(&fault.action);
-            self.sink.event(Event {
-                frame: self.frame_idx,
-                kind: EventKind::Fault {
-                    kind: fault.action.name(),
-                    slot: fault.action.slot(),
-                    detail: fault.action.detail(),
-                    detected: applied.is_err(),
-                },
-            });
-            if result.is_ok() {
-                result = applied;
-            }
-        }
-        self.faults = Some(state);
-        result
-    }
-
-    /// Injects one fault. Data-plane corruptions return the typed error
-    /// the modeled integrity check raises at the point of damage; a fault
+    /// Injects one fault between frames, before the next frame's samples
+    /// are ingested. Data-plane corruptions return the typed error the
+    /// modeled integrity check raises at the point of damage; a fault
     /// landing on empty state (e.g. a bit flip in an empty FIFO) is
     /// physically harmless and returns `Ok`.
-    fn apply_fault(&mut self, action: &FaultAction) -> Result<(), RuntimeError> {
+    pub(crate) fn apply_fault(&mut self, action: &FaultAction) -> Result<(), RuntimeError> {
         match *action {
             FaultAction::FifoBitFlip { slot, bit } => {
                 let Some(pe) = self.pes.get_mut(slot) else {
                     return Err(RuntimeError::NoSuchNode(NodeId(slot)));
                 };
-                match pe.output_fifo_mut().and_then(|f| f.front_mut()) {
+                match pe.output_fifo_mut().front_mut() {
                     Some(token) => {
                         token.flip_bit(bit);
                         Err(RuntimeError::FifoParity { slot, bit })
@@ -972,7 +873,7 @@ impl Runtime {
                 let Some(pe) = self.pes.get(slot) else {
                     return Err(RuntimeError::NoSuchNode(NodeId(slot)));
                 };
-                let occupancy = pe.output_fifo().map_or(0, |f| f.len());
+                let occupancy = pe.output_fifo().len();
                 if occupancy > 0 {
                     Err(RuntimeError::FifoOverflow { slot, occupancy })
                 } else {
@@ -983,7 +884,7 @@ impl Runtime {
                 let Some(pe) = self.pes.get_mut(slot) else {
                     return Err(RuntimeError::NoSuchNode(NodeId(slot)));
                 };
-                match pe.output_fifo_mut().and_then(|f| f.front_mut()) {
+                match pe.output_fifo_mut().front_mut() {
                     Some(token) => {
                         token.flip_bit(bit);
                         Err(RuntimeError::PeResidue { slot })
@@ -1112,22 +1013,21 @@ impl Runtime {
                     self.sink.latency(scope, self.nanos(slot, busy) as u64);
                 }
             }
-            if let Some(fifo) = self.pes[slot].output_fifo() {
-                let peak = fifo.max_occupancy() as u64;
-                let depth = fifo.len() as u64;
-                self.sink.hwm(scope, Counter::FifoHighWater, peak);
-                self.sink.hwm(scope, Counter::FifoPeakDepth, depth);
-                if peak != 0 {
-                    self.sink.event(Event {
-                        frame: end,
-                        kind: EventKind::FifoWindow {
-                            slot: slot as u8,
-                            name,
-                            depth: depth as u32,
-                            peak: peak as u32,
-                        },
-                    });
-                }
+            let fifo = self.pes[slot].output_fifo();
+            let peak = fifo.high_water() as u64;
+            let depth = fifo.len() as u64;
+            self.sink.hwm(scope, Counter::FifoHighWater, peak);
+            self.sink.hwm(scope, Counter::FifoPeakDepth, depth);
+            if peak != 0 {
+                self.sink.event(Event {
+                    frame: end,
+                    kind: EventKind::FifoWindow {
+                        slot: slot as u8,
+                        name,
+                        depth: depth as u32,
+                        peak: peak as u32,
+                    },
+                });
             }
             // Power is sampled for every domain: idle domains still leak.
             let mw = DomainPowerModel::new(self.pes[slot].kind()).window_mw(busy, window_s);
@@ -1352,12 +1252,8 @@ impl Runtime {
     /// inherits its trace.
     fn tag_sources(&mut self, tag: u64) {
         for src in &self.sources {
-            if let Some(fifo) = self
-                .pes
-                .get_mut(src.to.0)
-                .and_then(|pe| pe.output_fifo_mut())
-            {
-                fifo.set_trace_tag(tag);
+            if let Some(pe) = self.pes.get_mut(src.to.0) {
+                pe.output_fifo_mut().set_trace_tag(tag);
             }
         }
     }
@@ -1428,14 +1324,11 @@ impl Runtime {
             for i in 0..self.pes.len() {
                 // Idle PEs (the common case between block boundaries) cost
                 // one occupancy read.
-                if self.pes[i].output_fifo().is_some_and(|f| f.is_empty()) {
+                if self.pes[i].output_fifo().is_empty() {
                     continue;
                 }
                 burst.clear();
                 self.pes[i].drain_output(burst);
-                if burst.is_empty() {
-                    continue;
-                }
                 moved = true;
                 let n = burst.len() as u64;
                 let bytes: u64 = burst.iter().map(|t| t.wire_bytes() as u64).sum();
@@ -1459,7 +1352,7 @@ impl Runtime {
                 // output FIFOs, so every downstream burst inherits the tag.
                 // With no tracer attached this is a single branch per burst.
                 let tag = if self.tracer.is_some() {
-                    self.pes[i].output_fifo().map_or(0, |f| f.trace_tag())
+                    self.pes[i].output_fifo().trace_tag()
                 } else {
                     0
                 };
@@ -1555,9 +1448,7 @@ impl Runtime {
                     costs,
                 });
                 keep = true;
-                if let Some(fifo) = self.pes[to].output_fifo_mut() {
-                    fifo.set_trace_tag(tag);
-                }
+                self.pes[to].output_fifo_mut().set_trace_tag(tag);
             }
         }
         if is_radio && accepted {
@@ -1572,9 +1463,7 @@ impl Runtime {
             keep = true;
         }
         if !keep {
-            if let Some(fifo) = self.pes[from].output_fifo_mut() {
-                fifo.clear_trace_tag();
-            }
+            self.pes[from].output_fifo_mut().clear_trace_tag();
         }
     }
 

@@ -7,7 +7,7 @@ use crate::controller::{Controller, ControllerError};
 use crate::metrics::{PeActivity, StimEvent, TaskMetrics};
 use crate::pipeline::{Pipeline, PipelineError};
 use crate::power::PowerReport;
-use crate::runtime::{Runtime, RuntimeError};
+use crate::runtime::{FaultAction, Runtime, RuntimeError};
 use crate::task::Task;
 use halo_noc::Fabric;
 use halo_signal::Recording;
@@ -410,6 +410,39 @@ impl HaloSystem {
         self.report(result)
     }
 
+    /// Injects `faults` at the current frame, before its samples are
+    /// ingested: every action is applied and reported to the telemetry
+    /// sink as one [`EventKind::Fault`], in order, even after one has
+    /// failed, so a post-mortem latched by the first error lists all of
+    /// them. The chaos harness decides which faults are due when.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first integrity error an action raised as
+    /// [`SystemError::Runtime`] (also reported to the attached health
+    /// monitor's flight recorder). A fault landing on empty state is
+    /// harmless and raises none.
+    pub fn inject_faults(&mut self, faults: &[FaultAction]) -> Result<(), SystemError> {
+        let frame = self.runtime.frames();
+        let mut first = Ok(());
+        for action in faults {
+            let applied = self.runtime.apply_fault(action);
+            self.sink.event(Event {
+                frame,
+                kind: EventKind::Fault {
+                    kind: action.name(),
+                    slot: action.slot(),
+                    detail: action.detail(),
+                    detected: applied.is_err(),
+                },
+            });
+            if first.is_ok() {
+                first = applied;
+            }
+        }
+        self.report(first)
+    }
+
     /// Passes a streaming result through, first reporting an error to the
     /// attached health monitor's flight recorder.
     fn report(&self, result: Result<(), RuntimeError>) -> Result<(), SystemError> {
@@ -530,7 +563,7 @@ impl HaloSystem {
                 stall_cycles: t.stall_cycles,
                 bytes_in: t.bytes_in,
                 bytes_out: t.bytes_out,
-                fifo_high_water: pe.output_fifo().map_or(0, |f| f.high_water() as u64),
+                fifo_high_water: pe.output_fifo().high_water() as u64,
             })
             .collect();
         Ok(TaskMetrics {

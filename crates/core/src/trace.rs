@@ -8,16 +8,19 @@
 //! configuration or fabric differs from capture time, re-drives the exact
 //! input, and reports whether every output is bit-identical — the
 //! simulator is deterministic, so any divergence is a regression.
+//! [`snapshot`] and [`rebuild`] are the two halves both share, and what a
+//! mid-run checkpoint is made of.
 
 use halo_signal::Recording;
-use halo_telemetry::{ReplayReport, Replayer, StimRecord, TraceLog};
+use halo_telemetry::replay::verify;
+use halo_telemetry::{ReplayReport, StimRecord, TraceLog};
 
 use crate::config::HaloConfig;
 use crate::metrics::TaskMetrics;
 use crate::system::{HaloSystem, SystemError};
 use crate::task::Task;
 
-/// Errors raised while replaying a captured trace log.
+/// Errors raised while rebuilding a device from a trace log.
 #[derive(Debug)]
 pub enum ReplayError {
     /// The log names a task this build does not know.
@@ -39,6 +42,12 @@ pub enum ReplayError {
     },
     /// The rebuilt system failed to configure or stream.
     System(SystemError),
+    /// Re-driving a mid-run log's samples did not reproduce its outputs
+    /// byte for byte — a determinism regression.
+    Diverged {
+        /// Which output diverged.
+        what: &'static str,
+    },
 }
 
 impl From<SystemError> for ReplayError {
@@ -62,6 +71,7 @@ impl std::fmt::Display for ReplayError {
                 expected.len()
             ),
             Self::System(e) => write!(f, "{e}"),
+            Self::Diverged { what } => write!(f, "replay diverged from the logged {what}"),
         }
     }
 }
@@ -82,6 +92,24 @@ fn stim_records(metrics: &TaskMetrics) -> Vec<StimRecord> {
         .collect()
 }
 
+/// Freezes `system`'s stream so far as a [`TraceLog`] without
+/// stimulation records: its task, configuration fingerprint and switch
+/// words, the frame-major `samples` it consumed, and the radio stream and
+/// MCU flags its runtime produced from them.
+pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
+    TraceLog {
+        task: system.task().label().to_string(),
+        config_fingerprint: system.config().fingerprint(),
+        channels: system.config().channels as u32,
+        sample_rate_hz: system.config().sample_rate_hz,
+        switch_words: system.runtime().fabric().encoded_routes(),
+        samples: samples.to_vec(),
+        radio: system.runtime().radio_stream().to_vec(),
+        mcu_flags: system.runtime().mcu_flags().to_vec(),
+        stim: Vec::new(),
+    }
+}
+
 /// Captures a finished run as a replayable [`TraceLog`].
 ///
 /// Call after [`HaloSystem::process`] returned `metrics` for `recording`
@@ -90,35 +118,21 @@ fn stim_records(metrics: &TaskMetrics) -> Vec<StimRecord> {
 /// flags, stimulation events) so [`replay`] can verify bit-identity.
 pub fn capture(system: &HaloSystem, recording: &Recording, metrics: &TaskMetrics) -> TraceLog {
     TraceLog {
-        task: system.task().label().to_string(),
-        config_fingerprint: system.config().fingerprint(),
-        channels: system.config().channels as u32,
-        sample_rate_hz: system.config().sample_rate_hz,
-        switch_words: system.runtime().fabric().encoded_routes(),
-        samples: recording.samples().to_vec(),
-        radio: metrics.radio_stream.clone(),
-        mcu_flags: metrics.detections.clone(),
         stim: stim_records(metrics),
+        ..snapshot(system, recording.samples())
     }
 }
 
-/// Replays a captured log through a freshly built system and verifies the
-/// outputs byte-for-byte.
-///
-/// `config` must be equivalent to the capture-time configuration (same
-/// fingerprint) — replay is only meaningful against the same device
-/// setup. Returns the fresh run's metrics alongside the comparison
-/// report; [`ReplayReport::identical`] is the determinism verdict.
+/// Builds the fresh, unstreamed device `log` was taken from: looks its
+/// task up, and refuses a `config` whose fingerprint differs from the
+/// log's or whose pipeline programs different switch words.
 ///
 /// # Errors
 ///
 /// Returns [`ReplayError`] if the log names an unknown task, the
-/// configuration or fabric differs from capture time, or the rebuilt
-/// system fails to stream.
-pub fn replay(
-    log: &TraceLog,
-    config: HaloConfig,
-) -> Result<(TaskMetrics, ReplayReport), ReplayError> {
+/// configuration or fabric differs from capture time, or the system
+/// fails to configure.
+pub fn rebuild(log: &TraceLog, config: HaloConfig) -> Result<HaloSystem, ReplayError> {
     let task =
         Task::from_label(&log.task).ok_or_else(|| ReplayError::UnknownTask(log.task.clone()))?;
     let fingerprint = config.fingerprint();
@@ -128,7 +142,7 @@ pub fn replay(
             got: fingerprint,
         });
     }
-    let mut system = HaloSystem::new(task, config)?;
+    let system = HaloSystem::new(task, config)?;
     let programmed = system.runtime().fabric().encoded_routes();
     if programmed != log.switch_words {
         return Err(ReplayError::FabricMismatch {
@@ -136,6 +150,26 @@ pub fn replay(
             got: programmed,
         });
     }
+    Ok(system)
+}
+
+/// Replays a captured log through a freshly [`rebuild`]t system and
+/// verifies the outputs byte-for-byte.
+///
+/// `config` must be equivalent to the capture-time configuration (same
+/// fingerprint) — replay is only meaningful against the same device
+/// setup. Returns the fresh run's metrics alongside the comparison
+/// report; [`ReplayReport::identical`] is the determinism verdict.
+///
+/// # Errors
+///
+/// Returns [`ReplayError`] if [`rebuild`] refuses the log or the rebuilt
+/// system fails to stream.
+pub fn replay(
+    log: &TraceLog,
+    config: HaloConfig,
+) -> Result<(TaskMetrics, ReplayReport), ReplayError> {
+    let mut system = rebuild(log, config)?;
     let recording = Recording::from_samples(
         log.samples.clone(),
         log.channels as usize,
@@ -143,8 +177,7 @@ pub fn replay(
     );
     let metrics = system.process(&recording)?;
     let stim = stim_records(&metrics);
-    let report =
-        Replayer::new(log.clone()).verify(&metrics.radio_stream, &metrics.detections, &stim);
+    let report = verify(log, &metrics.radio_stream, &metrics.detections, &stim);
     Ok((metrics, report))
 }
 

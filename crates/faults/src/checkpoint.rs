@@ -2,70 +2,21 @@
 //!
 //! The simulator is deterministic, so a mid-run snapshot does not need
 //! to serialize internal state: it records the *consumed input prefix*
-//! plus the outputs produced so far (the same fields a
-//! [`TraceLog`] stores). [`Checkpoint::restore`] rebuilds a fresh
-//! system, re-drives the prefix, and proves byte-identity of every
-//! output before handing the system back — the resumed run is
-//! indistinguishable from one that never died.
+//! plus the outputs produced so far (the [`TraceLog`] that
+//! [`trace::snapshot`] builds). [`Checkpoint::restore`] rebuilds a fresh
+//! system through [`trace::rebuild`], the same checks a replay makes,
+//! re-drives the prefix, and proves byte-identity of every output before
+//! handing the system back — the resumed run is indistinguishable from
+//! one that never died.
 //!
-//! This is also how the chaos harness recovers from data-plane
-//! corruption: the fault hook raises its typed error *before* the
-//! damaged frame's samples are ingested, so the poisoned system's
-//! outputs are still clean and [`Checkpoint::snapshot`] taken at the
-//! point of failure names the exact resume frame.
+//! A fault injected through [`HaloSystem::inject_faults`] fires before
+//! the next frame's samples are ingested, so a poisoned system's outputs
+//! are still clean and [`Checkpoint::snapshot`] taken at the point of
+//! failure names the exact resume frame.
 
-use halo_core::{HaloConfig, HaloSystem, SystemError, Task};
+use halo_core::trace::{self, ReplayError};
+use halo_core::{HaloConfig, HaloSystem};
 use halo_telemetry::TraceLog;
-
-/// Errors raised while restoring a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The checkpoint names a task this build does not know.
-    UnknownTask(String),
-    /// The supplied configuration does not fingerprint-match the
-    /// snapshot-time configuration.
-    ConfigMismatch {
-        /// Fingerprint recorded in the checkpoint.
-        expected: u64,
-        /// Fingerprint of the configuration supplied for restore.
-        got: u64,
-    },
-    /// The rebuilt fabric programmed different switch words.
-    FabricMismatch,
-    /// The rebuilt system failed to configure or stream.
-    System(SystemError),
-    /// Replaying the prefix did not reproduce the checkpointed outputs
-    /// byte-for-byte — a determinism regression.
-    Diverged {
-        /// Which output diverged.
-        what: &'static str,
-    },
-}
-
-impl From<SystemError> for CheckpointError {
-    fn from(e: SystemError) -> Self {
-        Self::System(e)
-    }
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownTask(label) => write!(f, "checkpoint names unknown task {label:?}"),
-            Self::ConfigMismatch { expected, got } => write!(
-                f,
-                "config fingerprint {got:#018x} does not match checkpointed {expected:#018x}"
-            ),
-            Self::FabricMismatch => write!(f, "rebuilt fabric differs from checkpointed routes"),
-            Self::System(e) => write!(f, "{e}"),
-            Self::Diverged { what } => {
-                write!(f, "restore replay diverged from checkpointed {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
 
 /// A restorable mid-run snapshot. Serialization is the trace-log text
 /// format ([`Checkpoint::write`]/[`Checkpoint::read`]), so checkpoints
@@ -87,17 +38,7 @@ impl Checkpoint {
             "consumed slice must cover exactly the ingested frames"
         );
         Self {
-            log: TraceLog {
-                task: system.task().label().to_string(),
-                config_fingerprint: system.config().fingerprint(),
-                channels: system.config().channels as u32,
-                sample_rate_hz: system.config().sample_rate_hz,
-                switch_words: system.runtime().fabric().encoded_routes(),
-                samples: consumed.to_vec(),
-                radio: system.runtime().radio_stream().to_vec(),
-                mcu_flags: system.runtime().mcu_flags().to_vec(),
-                stim: Vec::new(),
-            },
+            log: trace::snapshot(system, consumed),
         }
     }
 
@@ -139,49 +80,36 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError`] if the configuration or fabric
-    /// differs from snapshot time, the replay fails, or any replayed
-    /// output diverges.
+    /// Returns the [`ReplayError`] of [`trace::rebuild`] if the
+    /// configuration or fabric differs from snapshot time,
+    /// [`ReplayError::System`] if the replay fails, and
+    /// [`ReplayError::Diverged`] if any replayed output differs.
     pub fn restore(
         &self,
         config: HaloConfig,
         block_dispatch: bool,
-    ) -> Result<HaloSystem, CheckpointError> {
-        let task = Task::from_label(&self.log.task)
-            .ok_or_else(|| CheckpointError::UnknownTask(self.log.task.clone()))?;
-        let fingerprint = config.fingerprint();
-        if fingerprint != self.log.config_fingerprint {
-            return Err(CheckpointError::ConfigMismatch {
-                expected: self.log.config_fingerprint,
-                got: fingerprint,
-            });
-        }
-        let mut system = HaloSystem::new(task, config)?;
-        if system.runtime().fabric().encoded_routes() != self.log.switch_words {
-            return Err(CheckpointError::FabricMismatch);
-        }
+    ) -> Result<HaloSystem, ReplayError> {
+        let mut system = trace::rebuild(&self.log, config)?;
         system.set_block_dispatch(block_dispatch);
         system.push_block(&self.log.samples)?;
-        if system.runtime().frames() != self.frame() {
-            return Err(CheckpointError::Diverged {
-                what: "frame count",
-            });
-        }
-        if system.runtime().radio_stream() != self.log.radio {
-            return Err(CheckpointError::Diverged {
-                what: "radio stream",
-            });
-        }
-        if system.runtime().mcu_flags() != self.log.mcu_flags {
-            return Err(CheckpointError::Diverged { what: "mcu flags" });
-        }
-        Ok(system)
+        let runtime = system.runtime();
+        let what = if runtime.frames() != self.frame() {
+            "frame count"
+        } else if runtime.radio_stream() != self.log.radio {
+            "radio stream"
+        } else if runtime.mcu_flags() != self.log.mcu_flags {
+            "mcu flags"
+        } else {
+            return Ok(system);
+        };
+        Err(ReplayError::Diverged { what })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halo_core::Task;
     use halo_signal::{RecordingConfig, RegionProfile};
 
     fn recording(channels: usize, ms: usize, seed: u64) -> halo_signal::Recording {
@@ -243,7 +171,7 @@ mod tests {
         let other = HaloConfig::small_test(4).channels(2);
         assert!(matches!(
             ckpt.restore(other, true),
-            Err(CheckpointError::ConfigMismatch { .. })
+            Err(ReplayError::ConfigMismatch { .. })
         ));
     }
 
@@ -258,7 +186,7 @@ mod tests {
         ckpt.log.radio[0] ^= 0xFF;
         assert!(matches!(
             ckpt.restore(config, true),
-            Err(CheckpointError::Diverged {
+            Err(ReplayError::Diverged {
                 what: "radio stream"
             })
         ));

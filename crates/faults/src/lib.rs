@@ -6,7 +6,7 @@
 //! replayable bit-for-bit:
 //!
 //! * [`plan`] — [`FaultPlan`] generates a declarative, seeded schedule
-//!   of runtime faults (FIFO bit flips and overflow pressure, transient
+//!   of device faults (FIFO bit flips and overflow pressure, transient
 //!   PE output corruption, NoC link degradation, rogue MMIO switch
 //!   words), brownout windows, and a radio loss model from one seed.
 //! * [`channel`] — [`PlanChannel`] turns the radio loss model into an
@@ -23,10 +23,12 @@
 //!   strict verdict: recovered (byte-identical to a fault-free
 //!   reference), degraded (marked), or dead (never acceptable).
 //!
-//! The runtime half of the machinery — the zero-cost-when-disabled
-//! fault hook, typed integrity errors, and the `EventKind::Fault`
-//! telemetry — lives in `halo-core`/`halo-telemetry`; this crate is the
-//! chaos driver on top. Fleet-scale campaigns live in `halo-fleet`.
+//! This crate alone decides when a fault fires. The device half — the
+//! one call that applies faults
+//! ([`HaloSystem::inject_faults`](halo_core::HaloSystem::inject_faults)),
+//! the typed integrity errors, and the `EventKind::Fault` telemetry —
+//! lives in `halo-core`/`halo-telemetry` and costs the streaming runtime
+//! nothing. Fleet-scale campaigns live in `halo-fleet`.
 
 pub mod channel;
 pub mod checkpoint;
@@ -35,7 +37,7 @@ pub mod harness;
 pub mod plan;
 
 pub use channel::PlanChannel;
-pub use checkpoint::{Checkpoint, CheckpointError};
+pub use checkpoint::Checkpoint;
 pub use degraded::{DegradedSupervisor, SupervisorAction};
 pub use harness::{ChaosConfig, ChaosReport, ChaosSession, Outcome, RecoveryEvent};
-pub use plan::{BrownoutWindow, FaultPlan, FaultPlanConfig, RadioPlan};
+pub use plan::{BrownoutWindow, FaultPlan, FaultPlanConfig, RadioPlan, ScheduledFault};

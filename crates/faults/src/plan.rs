@@ -2,16 +2,27 @@
 //!
 //! A [`FaultPlan`] is everything a chaos run injects, generated
 //! bit-for-bit reproducibly from one seed: a sorted schedule of
-//! [`ScheduledFault`]s for the runtime hook, a set of
+//! [`ScheduledFault`]s the chaos harness injects, a set of
 //! [`BrownoutWindow`]s that temporarily shrink the power budget, and a
 //! [`RadioPlan`] parameterizing the lossy ARQ channel. The same
 //! [`FaultPlanConfig`] always produces the same plan, so a campaign can
 //! be replayed exactly from its seed alone; [`FaultPlan::fingerprint`]
 //! hashes the whole plan so triage output can prove it.
 
-use halo_core::runtime::{FaultAction, ScheduledFault};
+use halo_core::runtime::FaultAction;
 use halo_noc::{Fabric, NodeId, Route};
 use halo_signal::SimRng;
+
+/// A fault pinned to the frame it fires at: the harness injects it
+/// through [`halo_core::HaloSystem::inject_faults`] before that frame's
+/// samples are ingested.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScheduledFault {
+    /// Frame index at which the fault is applied.
+    pub frame: u64,
+    /// The fault itself.
+    pub action: FaultAction,
+}
 
 /// Parameters for [`FaultPlan::generate`]. Counts are totals over the
 /// whole run; frames are sample-frame indices into the stream.
@@ -98,7 +109,7 @@ pub struct RadioPlan {
 /// A fully materialized chaos plan. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Runtime-hook faults, sorted by frame.
+    /// Injected faults, sorted by frame.
     pub schedule: Vec<ScheduledFault>,
     /// Brownout windows, sorted and non-overlapping.
     pub brownouts: Vec<BrownoutWindow>,

@@ -8,11 +8,11 @@
 //! single campaign seed, so the same seed replays the same schedules
 //! and the same triage JSON bit-for-bit, regardless of worker count.
 //!
-//! Post-mortems latched by the per-session flight recorders contain
-//! measured latencies and are therefore *not* bit-stable; the triage
-//! document records only their presence, and
-//! [`CampaignSessionReport::postmortem`] hands the full dump to callers
-//! (the `fault_campaign` example writes them as sibling artifacts).
+//! The triage document records only whether each session's flight
+//! recorder latched a post-mortem; [`CampaignSessionReport::postmortem`]
+//! hands the full dump to callers (the `fault_campaign` example writes
+//! them as sibling artifacts). Every latency a post-mortem carries is
+//! modelled from cycles, so the dumps are as bit-stable as the triage.
 
 use halo_core::Task;
 use halo_faults::{ChaosConfig, ChaosReport, ChaosSession, Outcome};
@@ -170,9 +170,9 @@ impl CampaignSessionReport {
         }
     }
 
-    /// The latched flight-recorder post-mortem, if any. Not bit-stable
-    /// across replays (contains measured latencies) — write it as a
-    /// sibling artifact rather than embedding it in the triage JSON.
+    /// The latched flight-recorder post-mortem, if any. Its latencies are
+    /// modelled from cycles, so it replays bit-for-bit like the triage
+    /// JSON; write it as a sibling artifact next to it.
     pub fn postmortem(&self) -> Option<&str> {
         self.report
             .as_ref()

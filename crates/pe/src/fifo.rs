@@ -79,13 +79,6 @@ impl Fifo {
         self.high_water
     }
 
-    /// Maximum occupancy ever observed — the name telemetry uses for the
-    /// same statistic ([`Fifo::high_water`] sizes the hardware buffer;
-    /// observability layers report it as peak occupancy).
-    pub fn max_occupancy(&self) -> usize {
-        self.high_water
-    }
-
     /// Current trace context (`0` = untraced).
     pub fn trace_tag(&self) -> u64 {
         self.trace_tag
@@ -126,7 +119,6 @@ mod tests {
         f.pop();
         f.push(Token::Sample(3));
         assert_eq!(f.high_water(), 2);
-        assert_eq!(f.max_occupancy(), 2);
         assert_eq!(f.len(), 2);
         assert!(!f.is_empty());
     }

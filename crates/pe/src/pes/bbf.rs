@@ -147,10 +147,6 @@ impl ProcessingElement for BbfPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn quiet_frames(&self, frame_samples: usize) -> u64 {
         if frame_samples != self.lanes.len() || self.frame_pos != 0 {
             return 0;
@@ -212,12 +208,12 @@ impl ProcessingElement for BbfPe {
         self.frame_pos = 0;
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

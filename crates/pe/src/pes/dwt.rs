@@ -119,21 +119,17 @@ impl ProcessingElement for DwtPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn flush(&mut self) {
         let len = self.buffer.len();
         self.run_block(len);
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

@@ -187,10 +187,6 @@ impl ProcessingElement for FftPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn quiet_frames(&self, frame_samples: usize) -> u64 {
         if frame_samples != self.channels || self.frame_pos != 0 {
             return 0;
@@ -271,12 +267,12 @@ impl ProcessingElement for FftPe {
         self.frame_pos = 0;
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

@@ -132,10 +132,6 @@ impl ProcessingElement for GatePe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
         let Some(&first) = samples.first() else {
             return Ok(());
@@ -169,12 +165,12 @@ impl ProcessingElement for GatePe {
         }
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

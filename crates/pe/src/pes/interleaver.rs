@@ -96,10 +96,6 @@ impl ProcessingElement for InterleaverPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn push_samples(&mut self, port: usize, samples: &[i16]) -> Result<(), PeError> {
         let Some(&first) = samples.first() else {
             return Ok(());
@@ -147,12 +143,12 @@ impl ProcessingElement for InterleaverPe {
         self.next_channel = 0;
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

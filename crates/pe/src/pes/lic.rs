@@ -55,10 +55,6 @@ impl ProcessingElement for LicPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn flush(&mut self) {
         if !self.ops.is_empty() {
             let raw_len: u32 = self
@@ -73,12 +69,12 @@ impl ProcessingElement for LicPe {
         }
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

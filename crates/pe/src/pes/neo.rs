@@ -86,10 +86,6 @@ impl ProcessingElement for NeoPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn flush(&mut self) {
         for lane in &mut self.lanes {
             lane.reset();
@@ -97,12 +93,12 @@ impl ProcessingElement for NeoPe {
         self.next = 0;
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

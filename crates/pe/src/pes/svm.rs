@@ -139,22 +139,18 @@ impl ProcessingElement for SvmPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn flush(&mut self) {
         for b in &mut self.buffers {
             b.clear();
         }
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

@@ -112,10 +112,6 @@ impl ProcessingElement for XcorPe {
         Ok(())
     }
 
-    fn pull(&mut self) -> Option<Token> {
-        self.out.pop()
-    }
-
     fn quiet_frames(&self, frame_samples: usize) -> u64 {
         if frame_samples != self.channels || !self.frame.is_empty() {
             return 0;
@@ -157,12 +153,12 @@ impl ProcessingElement for XcorPe {
         self.frame.clear();
     }
 
-    fn output_fifo(&self) -> Option<&Fifo> {
-        Some(&self.out)
+    fn output_fifo(&self) -> &Fifo {
+        &self.out
     }
 
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        Some(&mut self.out)
+    fn output_fifo_mut(&mut self) -> &mut Fifo {
+        &mut self.out
     }
 
     fn memory_bytes(&self) -> usize {

@@ -126,8 +126,9 @@ impl std::fmt::Display for PeKind {
 /// A hardware processing element.
 ///
 /// PEs are push/pull stream machines: the runtime pushes tokens into typed
-/// input ports and drains the output FIFO. `flush` signals end of stream so
-/// block-based PEs (LZ, DWT, XCOR, FFT) can finalize a partial block.
+/// input ports and drains the output FIFO, which every PE exposes (§IV-D's
+/// per-PE adapter FIFO). `flush` signals end of stream so block-based PEs
+/// (LZ, DWT, XCOR, FFT) can finalize a partial block.
 ///
 /// Implementations must be [`Send`]: a configured device (and therefore
 /// every PE in its array) is moved onto a worker thread when many sessions
@@ -166,7 +167,9 @@ pub trait ProcessingElement: Send {
     fn push(&mut self, port: usize, token: Token) -> Result<(), PeError>;
 
     /// Drains one output token, if any.
-    fn pull(&mut self) -> Option<Token>;
+    fn pull(&mut self) -> Option<Token> {
+        self.output_fifo_mut().pop()
+    }
 
     /// Pushes a burst of tokens into `port`, taking them from the front of
     /// `tokens`.
@@ -189,19 +192,11 @@ pub trait ProcessingElement: Send {
 
     /// Moves every queued output token into `into`, preserving order.
     ///
-    /// Semantically identical to `while let Some(t) = self.pull()`, but a
-    /// FIFO-backed PE hands over its whole buffer in one bulk copy (see
-    /// [`Fifo::drain_into`]), so the streaming runtime drains a burst with
-    /// one virtual call.
+    /// Semantically identical to `while let Some(t) = self.pull()`, but the
+    /// whole buffer moves in one bulk copy (see [`Fifo::drain_into`]), so
+    /// the streaming runtime drains a burst with one virtual call.
     fn drain_output(&mut self, into: &mut VecDeque<Token>) {
-        match self.output_fifo_mut() {
-            Some(f) => f.drain_into(into),
-            None => {
-                while let Some(t) = self.pull() {
-                    into.push_back(t);
-                }
-            }
-        }
+        self.output_fifo_mut().drain_into(into);
     }
 
     /// Signals end of stream: block-based PEs finalize partial state.
@@ -210,19 +205,14 @@ pub trait ProcessingElement: Send {
     /// Private memory the current configuration occupies, in bytes.
     fn memory_bytes(&self) -> usize;
 
-    /// The PE's output FIFO, if it exposes one for observability (every
-    /// shipped PE does). Telemetry reads occupancy high-water marks and
-    /// push totals from here without disturbing the stream.
-    fn output_fifo(&self) -> Option<&Fifo> {
-        None
-    }
+    /// The PE's output FIFO. The runtime reads its occupancy to price
+    /// back-pressure, and telemetry its high-water mark, without
+    /// disturbing the stream.
+    fn output_fifo(&self) -> &Fifo;
 
-    /// Mutable access to the output FIFO — the bulk-drain hook behind
-    /// [`ProcessingElement::drain_output`]. Implementations exposing
-    /// [`ProcessingElement::output_fifo`] should expose it here too.
-    fn output_fifo_mut(&mut self) -> Option<&mut Fifo> {
-        None
-    }
+    /// Mutable access to the output FIFO, which [`ProcessingElement::pull`]
+    /// and [`ProcessingElement::drain_output`] drain.
+    fn output_fifo_mut(&mut self) -> &mut Fifo;
 
     /// How many upcoming *whole frames* of `frame_samples` samples this PE
     /// is guaranteed to absorb on port 0 without producing a single output

@@ -93,7 +93,7 @@ pub use health::{
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use profile::{CycleProfile, DiffRow, Phase, ProfileDiff, ProfileRow};
 pub use recorder::{LinkSnapshot, PeSnapshot, PipelineLatency, Recorder, RecorderSnapshot};
-pub use replay::{ReplayReport, Replayer, StimRecord, TraceLog};
+pub use replay::{ReplayReport, StimRecord, TraceLog};
 pub use sink::{Counter, Event, EventKind, NullSink, Scope, Severity, TelemetrySink};
 pub use slo::{BurnRateFiring, BurnRatePolicy, SloConfig, SloEngine, SloStatus};
 pub use span_tree::{CriticalPathSummary, HopCost, SpanTree, TreeError};

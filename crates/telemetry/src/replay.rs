@@ -9,9 +9,9 @@
 //! back via [`crate::json::parse`].
 //!
 //! The simulator side (`halo-core`) re-drives the captured samples and
-//! fabric programming through a fresh runtime; [`Replayer::verify`] then
-//! compares the fresh outputs byte-for-byte against the captured ones,
-//! turning every captured post-mortem into a reproducible test case.
+//! fabric programming through a fresh runtime; [`verify`] then compares
+//! the fresh outputs byte-for-byte against the captured ones, turning
+//! every captured post-mortem into a reproducible test case.
 
 use crate::json::{self, Value};
 
@@ -282,50 +282,25 @@ impl std::fmt::Display for ReplayReport {
     }
 }
 
-/// Compares replayed outputs against a captured [`TraceLog`].
-#[derive(Debug, Clone)]
-pub struct Replayer {
-    log: TraceLog,
-}
-
-impl Replayer {
-    /// Wraps a captured log.
-    pub fn new(log: TraceLog) -> Self {
-        Self { log }
-    }
-
-    /// The captured log.
-    pub fn log(&self) -> &TraceLog {
-        &self.log
-    }
-
-    /// Verifies freshly produced outputs against the capture.
-    pub fn verify(
-        &self,
-        radio: &[u8],
-        mcu_flags: &[(u64, bool)],
-        stim: &[StimRecord],
-    ) -> ReplayReport {
-        let first_radio_divergence = self
-            .log
-            .radio
-            .iter()
-            .zip(radio.iter())
-            .position(|(a, b)| a != b)
-            .or_else(|| {
-                if self.log.radio.len() != radio.len() {
-                    Some(self.log.radio.len().min(radio.len()))
-                } else {
-                    None
-                }
-            });
-        ReplayReport {
-            radio_identical: first_radio_divergence.is_none(),
-            flags_identical: self.log.mcu_flags == mcu_flags,
-            stim_identical: self.log.stim == stim,
-            first_radio_divergence,
-            radio_len: (self.log.radio.len(), radio.len()),
-        }
+/// Compares freshly produced outputs against the ones `log` captured.
+pub fn verify(
+    log: &TraceLog,
+    radio: &[u8],
+    mcu_flags: &[(u64, bool)],
+    stim: &[StimRecord],
+) -> ReplayReport {
+    let first_radio_divergence = log
+        .radio
+        .iter()
+        .zip(radio.iter())
+        .position(|(a, b)| a != b)
+        .or_else(|| (log.radio.len() != radio.len()).then(|| log.radio.len().min(radio.len())));
+    ReplayReport {
+        radio_identical: first_radio_divergence.is_none(),
+        flags_identical: log.mcu_flags == mcu_flags,
+        stim_identical: log.stim == stim,
+        first_radio_divergence,
+        radio_len: (log.radio.len(), radio.len()),
     }
 }
 
@@ -374,22 +349,19 @@ mod tests {
     #[test]
     fn verify_detects_divergence() {
         let log = sample_log();
-        let replayer = Replayer::new(log.clone());
-        assert!(replayer
-            .verify(&log.radio, &log.mcu_flags, &log.stim)
-            .identical());
+        assert!(verify(&log, &log.radio, &log.mcu_flags, &log.stim).identical());
 
         let mut bad = log.radio.clone();
         bad[1] ^= 0x01;
-        let report = replayer.verify(&bad, &log.mcu_flags, &log.stim);
+        let report = verify(&log, &bad, &log.mcu_flags, &log.stim);
         assert!(!report.identical());
         assert_eq!(report.first_radio_divergence, Some(1));
 
-        let report = replayer.verify(&log.radio[..2], &log.mcu_flags, &log.stim);
+        let report = verify(&log, &log.radio[..2], &log.mcu_flags, &log.stim);
         assert!(!report.radio_identical);
         assert_eq!(report.first_radio_divergence, Some(2));
 
-        let report = replayer.verify(&log.radio, &[], &log.stim);
+        let report = verify(&log, &log.radio, &[], &log.stim);
         assert!(!report.flags_identical);
     }
 }

@@ -1,14 +1,14 @@
 //! Fault-injection integration: the chaos machinery must behave
 //! identically with the runtime's quiet-frame block dispatch on and
-//! off. Faults scheduled inside a provably-quiet chunk must still be
-//! observed (the dispatcher clamps its skip at the next due fault), and
-//! checkpoint recovery must be byte-identical whichever dispatch mode
-//! snapshotted or restored the run. A golden net pins the campaign
+//! off. Every plan fault must be injected at its own frame (the harness
+//! splits its batches there), and checkpoint recovery must be
+//! byte-identical whichever dispatch mode snapshotted or restored the
+//! run. A golden net pins the campaign
 //! triage and every latched post-mortem at 1 and 4 workers.
 
 use std::sync::Arc;
 
-use halo::core::runtime::{FaultAction, RuntimeError, ScheduledFault};
+use halo::core::runtime::{FaultAction, RuntimeError};
 use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::faults::{ChaosConfig, ChaosSession, Checkpoint, FaultPlan, FaultPlanConfig, Outcome};
 use halo::fleet::{campaign, CampaignConfig};
@@ -40,37 +40,56 @@ fn fault_plan_replays_from_seed() {
     assert_ne!(a.fingerprint(), FaultPlan::generate(&other).fingerprint());
 }
 
-/// An all-zero stream is provably quiet, so block dispatch would skip
-/// whole chunks — but a fault scheduled mid-chunk must still fire at
-/// its exact frame (the dispatcher clamps the skip at the next due
-/// fault). The cursor proves the injection was not jumped over.
+/// The pipelines whose sources take quiet chunks run a plan with block
+/// dispatch on and off. Every fault inside the stream is injected, and
+/// each rogue MMIO word (always detected) is recovered at exactly its
+/// scheduled frame, never at a later chunk boundary.
 #[test]
-fn quiet_chunk_faults_are_observed_under_block_dispatch() {
-    for action in [
-        FaultAction::FifoBitFlip { slot: 0, bit: 7 },
-        FaultAction::FifoOverflow { slot: 0 },
+fn plan_faults_are_injected_at_their_own_frames_with_dispatch_on_and_off() {
+    for task in [
+        Task::MovementIntent,
+        Task::SeizurePrediction,
+        Task::SpikeDetectDwt,
     ] {
-        let config = HaloConfig::small_test(2);
-        let mut system = HaloSystem::new(Task::SpikeDetectNeo, config).unwrap();
-        system.set_block_dispatch(true);
-        system
-            .runtime_mut()
-            .attach_faults(vec![ScheduledFault { frame: 100, action }]);
-        let zeros = vec![0i16; 256 * 2];
-        match system.push_block(&zeros) {
-            // Landed on empty state: harmless, but observed.
-            Ok(()) => assert_eq!(system.runtime().frames(), 256),
-            // Landed on live state: the typed integrity error names it.
-            Err(SystemError::Runtime(
-                RuntimeError::FifoParity { .. } | RuntimeError::FifoOverflow { .. },
-            )) => {}
-            Err(other) => panic!("unexpected error: {other:?}"),
+        let mut recoveries = Vec::new();
+        for block_dispatch in [true, false] {
+            let mut cfg = ChaosConfig::new(task);
+            cfg.block_dispatch = block_dispatch;
+            cfg.plan.data_faults = 3;
+            cfg.plan.rogue_mmio = 5;
+            cfg.plan.link_faults = 1;
+            cfg.plan.radio_drop_permille = 0;
+            cfg.plan.radio_corrupt_permille = 0;
+            let report = ChaosSession::new(cfg.clone()).run().unwrap();
+            assert_eq!(report.outcome, Outcome::Recovered, "{report:?}");
+
+            // The plan the session ran, regenerated from its config.
+            let mut plan_cfg = cfg.plan.clone();
+            plan_cfg.frames = report.frames;
+            plan_cfg.pe_slots = task.pe_kinds().len() as u8;
+            let plan = FaultPlan::generate(&plan_cfg);
+            assert_eq!(plan.fingerprint(), report.plan_fingerprint);
+            assert_eq!(report.faults_injected, plan.schedule.len());
+            let mut rogue: Vec<u64> = plan
+                .schedule
+                .iter()
+                .filter(|f| matches!(f.action, FaultAction::RogueMmio { .. }))
+                .map(|f| f.frame)
+                .collect();
+            rogue.dedup();
+            let recovered: Vec<u64> = report
+                .recoveries
+                .iter()
+                .filter(|r| r.kind == "rogue_mmio")
+                .map(|r| r.frame)
+                .collect();
+            assert_eq!(
+                recovered, rogue,
+                "{task:?}, block dispatch {block_dispatch}"
+            );
+            recoveries.push(report.recoveries);
         }
-        assert_eq!(
-            system.runtime().fault_cursor(),
-            1,
-            "quiet-chunk dispatch must not skip over a due fault"
-        );
+        assert_eq!(recoveries[0], recoveries[1], "{task:?}");
     }
 }
 
@@ -247,16 +266,7 @@ fn two_faults_at_one_frame_both_reach_the_postmortem() {
     system.attach_health(monitor.clone());
     let samples: Vec<i16> = (0..64 * channels as i16).map(|t| (t * 37) % 500).collect();
     system.push_block(&samples[..40 * channels]).unwrap();
-    system.runtime_mut().attach_faults(
-        words
-            .iter()
-            .map(|&word| ScheduledFault {
-                frame: 40,
-                action: FaultAction::RogueMmio { word },
-            })
-            .collect(),
-    );
-    let injected = system.push_block(&samples[40 * channels..41 * channels]);
+    let injected = system.inject_faults(&words.map(|word| FaultAction::RogueMmio { word }));
     assert!(
         matches!(
             injected,

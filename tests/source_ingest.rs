@@ -27,7 +27,7 @@ struct Case {
 }
 
 fn fifo_state(pe: &dyn ProcessingElement) -> (usize, usize) {
-    let fifo = pe.output_fifo().expect("every source PE exposes its FIFO");
+    let fifo = pe.output_fifo();
     (fifo.len(), fifo.high_water())
 }
 
