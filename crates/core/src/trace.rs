@@ -8,8 +8,9 @@
 //! configuration or fabric differs from capture time, re-drives the exact
 //! input, and reports whether every output is bit-identical — the
 //! simulator is deterministic, so any divergence is a regression.
-//! [`snapshot`] and [`rebuild`] are the two halves both share, and what a
-//! mid-run checkpoint is made of.
+//! Both are built from two halves a mid-run checkpoint uses too:
+//! [`snapshot`] freezes a stream into a log, and [`rebuild`] builds the
+//! device a log came from.
 
 use halo_signal::Recording;
 use halo_telemetry::replay::verify;

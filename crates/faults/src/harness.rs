@@ -362,11 +362,11 @@ impl Engine<'_> {
         metrics
     }
 
-    /// Streams frames `from..end`, split at every plan fault due in
-    /// that range: each fault is injected at its own frame, before that
-    /// frame's samples. Stops at the first error, with the failing frame
-    /// not yet consumed and its faults counted as injected, so the loop
-    /// restarts there once the error is recovered.
+    /// Streams frames `at..end`, split at every plan fault due in that
+    /// range: each fault is injected at its own frame, before that
+    /// frame's samples. Stops at the first error. An injected fault's
+    /// error leaves its frame unconsumed and its faults counted as
+    /// injected, so the loop restarts at that frame once it recovers.
     fn push_batch(&mut self, mut at: u64, end: u64) -> Result<(), SystemError> {
         let channels = self.halo_config.channels;
         while at < end {

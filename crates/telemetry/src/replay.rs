@@ -294,7 +294,13 @@ pub fn verify(
         .iter()
         .zip(radio.iter())
         .position(|(a, b)| a != b)
-        .or_else(|| (log.radio.len() != radio.len()).then(|| log.radio.len().min(radio.len())));
+        .or_else(|| {
+            if log.radio.len() != radio.len() {
+                Some(log.radio.len().min(radio.len()))
+            } else {
+                None
+            }
+        });
     ReplayReport {
         radio_identical: first_radio_divergence.is_none(),
         flags_identical: log.mcu_flags == mcu_flags,
