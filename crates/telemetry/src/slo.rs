@@ -1,7 +1,7 @@
 //! SLO error budgets and multi-window burn-rate alerts.
 //!
-//! HALO's safety envelopes (power ≤ 15 mW, closed-loop deadline, FIFO
-//! watermark, radio ≤ 46 Mbps) are hard limits the [`crate::health`]
+//! HALO's safety envelopes (power ≤ 15 mW, closed-loop deadline, radio
+//! ≤ 46 Mbps) are hard limits the [`crate::health`]
 //! watchdog trips on instantly. This module treats the same envelopes as
 //! *SLOs*: each objective's SLI is the corresponding utilization series in
 //! the [`crate::tsdb`] store (observed value ÷ live limit), a point is
@@ -41,7 +41,7 @@ use crate::sink::Severity;
 use crate::tsdb::{SeriesKind, Tsdb};
 
 /// Number of SLO objectives (one per safety envelope).
-pub const OBJECTIVE_COUNT: usize = 4;
+pub const OBJECTIVE_COUNT: usize = 3;
 
 /// Burn-rate policies evaluated per objective.
 pub const POLICY_COUNT: usize = 2;
@@ -54,7 +54,7 @@ pub struct SloObjective {
     pub series: SeriesKind,
 }
 
-/// The four envelope-backed objectives, in evaluation order.
+/// The three envelope-backed objectives, in evaluation order.
 pub const OBJECTIVES: [SloObjective; OBJECTIVE_COUNT] = [
     SloObjective {
         name: "power",
@@ -63,10 +63,6 @@ pub const OBJECTIVES: [SloObjective; OBJECTIVE_COUNT] = [
     SloObjective {
         name: "deadline",
         series: SeriesKind::DeadlineUtilization,
-    },
-    SloObjective {
-        name: "fifo",
-        series: SeriesKind::FifoUtilization,
     },
     SloObjective {
         name: "radio",

@@ -119,8 +119,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::SpikeDetectNeo,
         [
             0x833ee3a02cf6ef22,
-            0x98fb2f4459bda237,
-            0xc3f6538426a1b23e,
+            0x9125456df8f18bbb,
+            0x583c0071dafc7780,
             0x833ee3a02cf6ef22,
         ],
     ),
@@ -128,8 +128,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::SpikeDetectDwt,
         [
             0x728598aa86ec021a,
-            0xacbb694788f6cdbc,
-            0xe10656a6c3736936,
+            0x698768b29cd50fef,
+            0x15c390c83c67e1b1,
             0x728598aa86ec021a,
         ],
     ),
@@ -137,8 +137,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::CompressLz4,
         [
             0xde9b0c76e8054f35,
-            0xd4783c363c051238,
-            0xcd585e4b0077ef89,
+            0x951a2bb383168e1a,
+            0x2983026e62b4aedf,
             0xde9b0c76e8054f35,
         ],
     ),
@@ -146,8 +146,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::CompressLzma,
         [
             0x036c9f567dc25725,
-            0xcb1eb989b225cb58,
-            0xdb2b16b58cb29205,
+            0x621c41724517ab46,
+            0x21fe8837bb61ef83,
             0x036c9f567dc25725,
         ],
     ),
@@ -155,8 +155,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::CompressDwtma,
         [
             0x3662c96e320899cb,
-            0x072cabec657b9b0a,
-            0xd43f10c4f6a44fa9,
+            0xa3dfccb4ca146c85,
+            0x0a3192d0233f252a,
             0x3662c96e320899cb,
         ],
     ),
@@ -164,8 +164,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::MovementIntent,
         [
             0xe22b175776d82fe0,
-            0xeabba497e29d4722,
-            0xd7a33fc845e3dfa3,
+            0xc55ae6b45db5f355,
+            0x7cf6734206d9281c,
             0xe22b175776d82fe0,
         ],
     ),
@@ -173,8 +173,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::SeizurePrediction,
         [
             0x554d046a96ef70b9,
-            0xef7580f8aa470d8b,
-            0x975de4602e4158ce,
+            0x28d1ea1fafae188f,
+            0x4114ff0598368cf0,
             0x554d046a96ef70b9,
         ],
     ),
@@ -182,8 +182,8 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::EncryptRaw,
         [
             0x8cb93c052c72b66d,
-            0xf10c3c88052b7b24,
-            0x156eb8fe29ec8b4c,
+            0xaa01805bb1741ff5,
+            0x8d912d613a2ad325,
             0x8cb93c052c72b66d,
         ],
     ),
