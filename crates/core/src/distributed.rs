@@ -12,7 +12,7 @@
 //! detector (it transmits) with negligible receive cost at the
 //! stimulator.
 
-use crate::arq::{ArqChannel, ArqConfig, ArqCounters, ArqError, ArqLink, ChannelVerdict};
+use crate::arq::{ArqChannel, ArqConfig, ArqCounters, ArqError, ArqLink, LossyChannel};
 use crate::config::HaloConfig;
 use crate::controller::{Controller, ControllerError, StimCommand};
 use crate::metrics::TaskMetrics;
@@ -20,7 +20,7 @@ use crate::power::PowerReport;
 use crate::system::{HaloSystem, SystemError};
 use crate::task::Task;
 use halo_power::{stimulation_power_mw, RadioModel};
-use halo_signal::{Recording, SimRng};
+use halo_signal::Recording;
 
 /// The inter-device alert link. Alerts ride the core ARQ layer
 /// ([`ArqLink`]): sequence numbers, CRC-16, bounded retransmission with
@@ -54,41 +54,6 @@ impl Default for AlertLink {
             seed: 0x41E7,
             arq: ArqConfig::default(),
         }
-    }
-}
-
-/// The alert link's transmission medium: loses a seeded fraction of
-/// data frames and acknowledgements, delivers the rest immediately.
-#[derive(Debug, Clone)]
-pub struct LossyAlertChannel {
-    rng: SimRng,
-    loss_permille: u32,
-}
-
-impl LossyAlertChannel {
-    /// A channel losing `loss_permille`/1000 of transmissions.
-    pub fn new(seed: u64, loss_permille: u32) -> Self {
-        Self {
-            rng: SimRng::new(seed),
-            loss_permille,
-        }
-    }
-
-    fn roll(&mut self, now: u64) -> ChannelVerdict {
-        if self.loss_permille > 0 && self.rng.range_u64(0, 1000) < self.loss_permille as u64 {
-            ChannelVerdict::Drop
-        } else {
-            ChannelVerdict::Deliver { at_frame: now }
-        }
-    }
-}
-
-impl ArqChannel for LossyAlertChannel {
-    fn data_verdict(&mut self, now: u64, _seq: u32, _attempt: u32) -> ChannelVerdict {
-        self.roll(now)
-    }
-    fn ack_verdict(&mut self, now: u64, _seq: u32) -> ChannelVerdict {
-        self.roll(now)
     }
 }
 
@@ -235,7 +200,9 @@ impl DistributedBci {
     /// [`SystemError::AlertLoss`] if any alert is lost beyond the ARQ
     /// layer's ability to recover it.
     pub fn process(&mut self, recording: &Recording) -> Result<DistributedMetrics, SystemError> {
-        let channel = LossyAlertChannel::new(self.link.seed, self.link.loss_permille);
+        // The alert link loses a seeded fraction of data frames and acks
+        // and delivers the rest in the frame they were sent.
+        let channel = LossyChannel::new(self.link.seed, self.link.loss_permille, 0, 0);
         self.process_over(recording, channel)
     }
 

@@ -56,13 +56,14 @@ pub mod tasks;
 pub mod trace;
 
 pub use arq::{
-    ArqChannel, ArqConfig, ArqCounters, ArqError, ArqLink, ChannelVerdict, PerfectChannel,
+    ArqChannel, ArqConfig, ArqCounters, ArqError, ArqLink, ChannelVerdict, LossyChannel,
+    PerfectChannel,
 };
 pub use config::HaloConfig;
 pub use controller::{Controller, StimCommand};
 pub use distributed::{
-    AlertLink, DistributedBci, DistributedMetrics, LossyAlertChannel, RemoteStimEvent,
-    StimulationUnit, MAX_STIM_CHANNELS,
+    AlertLink, DistributedBci, DistributedMetrics, RemoteStimEvent, StimulationUnit,
+    MAX_STIM_CHANNELS,
 };
 pub use metrics::{PeActivity, TaskMetrics};
 pub use pipeline::{Pipeline, PipelineError};

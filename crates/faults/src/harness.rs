@@ -34,13 +34,13 @@ use std::sync::Arc;
 
 use halo_core::runtime::{FaultAction, RuntimeError};
 use halo_core::{
-    ArqConfig, ArqCounters, ArqError, ArqLink, HaloConfig, HaloSystem, SystemError, Task,
+    ArqConfig, ArqCounters, ArqError, ArqLink, HaloConfig, HaloSystem, LossyChannel, SystemError,
+    Task,
 };
 use halo_noc::Fabric;
 use halo_signal::{Recording, RecordingConfig, RegionProfile};
 use halo_telemetry::{HealthConfig, HealthMonitor, Recorder};
 
-use crate::channel::PlanChannel;
 use crate::checkpoint::Checkpoint;
 use crate::degraded::{DegradedSupervisor, SupervisorAction};
 use crate::plan::{FaultPlan, FaultPlanConfig};
@@ -276,7 +276,10 @@ impl ChaosSession {
             legal_words: system.runtime().fabric().encoded_routes(),
             system,
             monitor,
-            link: ArqLink::new(cfg.arq, PlanChannel::new(&radio)),
+            link: ArqLink::new(
+                cfg.arq,
+                LossyChannel::new(radio.seed, radio.drop_permille, radio.corrupt_permille, 1),
+            ),
             supervisor: DegradedSupervisor::new(cfg.task, cfg.fallback),
             frame_base: 0,
             radio_offset: 0,
@@ -309,7 +312,7 @@ struct Engine<'a> {
     legal_words: Vec<u32>,
     system: HaloSystem,
     monitor: Arc<HealthMonitor>,
-    link: ArqLink<PlanChannel>,
+    link: ArqLink<LossyChannel>,
     supervisor: DegradedSupervisor,
     /// Global frames completed before the current runtime epoch
     /// (non-zero after degraded-mode swaps).

@@ -9,8 +9,8 @@
 //!   of device faults (FIFO bit flips and overflow pressure, transient
 //!   PE output corruption, NoC link degradation, rogue MMIO switch
 //!   words), brownout windows, and a radio loss model from one seed.
-//! * [`channel`] — [`PlanChannel`] turns the radio loss model into an
-//!   [`ArqChannel`](halo_core::ArqChannel) for the core ARQ link:
+//!   The radio loss model drives a
+//!   [`LossyChannel`](halo_core::LossyChannel) under the core ARQ link:
 //!   sequence numbers, CRC-16, bounded retransmission with exponential
 //!   backoff.
 //! * [`checkpoint`] — [`Checkpoint`] snapshots a run mid-flight on the
@@ -30,13 +30,11 @@
 //! lives in `halo-core`/`halo-telemetry` and costs the streaming runtime
 //! nothing. Fleet-scale campaigns live in `halo-fleet`.
 
-pub mod channel;
 pub mod checkpoint;
 pub mod degraded;
 pub mod harness;
 pub mod plan;
 
-pub use channel::PlanChannel;
 pub use checkpoint::Checkpoint;
 pub use degraded::{DegradedSupervisor, SupervisorAction};
 pub use harness::{ChaosConfig, ChaosReport, ChaosSession, Outcome, RecoveryEvent};

@@ -94,8 +94,8 @@ impl BrownoutWindow {
     }
 }
 
-/// Seeded loss model for the radio channel (see
-/// [`PlanChannel`](crate::PlanChannel)).
+/// Seeded loss model for the radio channel, one frame of latency (see
+/// [`LossyChannel`](halo_core::LossyChannel)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RadioPlan {
     /// Seed for the channel's private RNG stream.
