@@ -7,7 +7,7 @@ use halo_noc::{Fabric, FabricError, Route};
 use halo_riscv::asm::{Asm, AsmError};
 use halo_riscv::bus::Mailbox;
 use halo_riscv::{Cpu, CpuError, Memory, SystemBus};
-use halo_telemetry::{Counter, Event, EventKind, NullSink, Scope, TelemetrySink};
+use halo_telemetry::{Event, EventKind, NullSink, TelemetrySink};
 
 /// MMIO address of the interconnect switch-programming register (§IV-E:
 /// "we use instructions to write to general purpose IO pins that set the
@@ -198,12 +198,7 @@ impl Controller {
             fabric.program(w)?;
         }
         if self.sink.enabled() {
-            let scope = Scope::Controller;
-            self.sink.add(scope, Counter::BusyCycles, result.cycles);
-            self.sink
-                .add(scope, Counter::Instructions, result.instructions);
-            self.sink.add(scope, Counter::SwitchPrograms, 1);
-            self.sink.add(scope, Counter::SwitchWords, word_count);
+            self.sink.controller(result.cycles, result.instructions);
             self.sink.event(Event {
                 frame: self.frame_hint,
                 kind: EventKind::SwitchProgram {
@@ -263,12 +258,7 @@ impl Controller {
             .map(StimCommand::decode)
             .collect();
         if self.sink.enabled() {
-            let scope = Scope::Controller;
-            self.sink.add(scope, Counter::BusyCycles, result.cycles);
-            self.sink
-                .add(scope, Counter::Instructions, result.instructions);
-            self.sink
-                .add(scope, Counter::StimPulses, commands.len() as u64);
+            self.sink.controller(result.cycles, result.instructions);
             for c in &commands {
                 self.sink.event(Event {
                     frame: self.frame_hint,

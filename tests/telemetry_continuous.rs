@@ -54,7 +54,7 @@ fn pipeline_run_populates_every_power_series() {
             .map(|(_, total, ..)| *total)
             .unwrap_or(0)
     };
-    // One power window per feature window, plus the flushed tail.
+    // One power window per feature window, the last closed by `finish`.
     assert_eq!(points(SeriesKind::PowerMw), 120);
     assert_eq!(points(SeriesKind::PowerUtilization), 120);
     assert!(points(SeriesKind::RadioBps) > 0, "radio windows scraped");
@@ -113,7 +113,7 @@ fn snapshots_are_byte_stable_across_identical_runs_and_repeated_flushes() {
     let b = run();
     let snap_a = a.snapshot_json();
     assert_eq!(snap_a, b.snapshot_json(), "identical histories must match");
-    // flush() is idempotent: snapshotting again changes nothing.
+    // Snapshotting reads the store without changing it.
     assert_eq!(snap_a, a.snapshot_json(), "re-snapshot must be stable");
     json::parse(&snap_a).expect("snapshot must be valid JSON");
 }
