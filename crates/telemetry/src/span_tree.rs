@@ -341,41 +341,49 @@ impl CriticalPathSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracing::{DeliveryCosts, TraceId, Tracer};
+    use crate::tracing::{DeliveryCosts, TraceEvent, TraceId, Tracer};
 
     fn sample_record() -> TraceRecord {
         let tracer = Tracer::new(2, 0).with_linger_frames(10);
         tracer.sampler().force_next(1);
-        let tag = tracer.begin_frame(0);
-        tracer.delivery(
-            tag,
-            None,
-            1,
-            "FFT",
-            4,
-            8,
-            DeliveryCosts {
-                noc_ns: 0,
-                wait_ns: 10,
-                cross_ns: 0,
-                service_ns: 40,
+        let tag = tracer.begin_frame_into(0, &mut Vec::new());
+        tracer.record_batch(&[
+            TraceEvent::Delivery {
+                tag,
+                from: None,
+                to: 1,
+                to_name: "FFT",
+                tokens: 4,
+                bytes: 8,
+                costs: DeliveryCosts {
+                    noc_ns: 0,
+                    wait_ns: 10,
+                    cross_ns: 0,
+                    service_ns: 40,
+                },
             },
-        );
-        tracer.delivery(
-            tag,
-            Some((1, "FFT")),
-            2,
-            "XCOR",
-            2,
-            4,
-            DeliveryCosts {
-                noc_ns: 90,
-                wait_ns: 60,
-                cross_ns: 0,
-                service_ns: 100,
+            TraceEvent::Delivery {
+                tag,
+                from: Some((1, "FFT")),
+                to: 2,
+                to_name: "XCOR",
+                tokens: 2,
+                bytes: 4,
+                costs: DeliveryCosts {
+                    noc_ns: 90,
+                    wait_ns: 60,
+                    cross_ns: 0,
+                    service_ns: 100,
+                },
             },
-        );
-        tracer.radio_frame(tag, 3, 1, 4, 700);
+            TraceEvent::Radio {
+                tag,
+                node: 3,
+                tokens: 1,
+                bytes: 4,
+                ns: 700,
+            },
+        ]);
         tracer.finalize_all();
         tracer.trees().pop().unwrap()
     }

@@ -287,17 +287,18 @@ pub struct DeliveryCosts {
     pub service_ns: u64,
 }
 
-/// One buffered trace event — the argument tuple of [`Tracer::delivery`]
-/// or [`Tracer::radio_frame`], captured by value.
+/// One buffered trace event: a delivery burst or a radio framing,
+/// captured by value.
 ///
 /// The runtime records events into a plain `Vec` while it streams a frame
 /// and commits them with one [`Tracer::record_batch`] call (one mutex
 /// acquisition per frame instead of one per burst). Event order in the
-/// buffer is the order spans land in the trace, so a batch commit is
-/// indistinguishable from eager calls.
+/// buffer is the order spans land in the trace.
 #[derive(Debug, Clone, Copy)]
 pub enum TraceEvent {
-    /// A delivery burst (see [`Tracer::delivery`]).
+    /// A delivery burst: a [`SpanKind::PeService`] span on the consumer
+    /// with hop/wait/cross children, advancing the trace clock by the
+    /// total cost.
     Delivery {
         /// Trace tag the burst is attributed to.
         tag: u64,
@@ -314,7 +315,7 @@ pub enum TraceEvent {
         /// Modeled delivery costs.
         costs: DeliveryCosts,
     },
-    /// Radio MAC framing (see [`Tracer::radio_frame`]).
+    /// Radio MAC framing of `bytes` uplink bytes.
     Radio {
         /// Trace tag the framing is attributed to.
         tag: u64,
@@ -474,28 +475,6 @@ impl Tracer {
         self.sink.lock().unwrap().as_ref().and_then(Weak::upgrade)
     }
 
-    /// Called by the runtime at the top of every frame. Returns the trace
-    /// tag for this frame's source deliveries (0 = untraced). Also expires
-    /// traces past their linger window.
-    pub fn begin_frame(&self, frame: u64) -> u64 {
-        self.begin_frame_impl(frame, None)
-    }
-
-    fn begin_frame_impl(&self, frame: u64, open_out: Option<&mut Vec<u64>>) -> u64 {
-        if self.sampler.idle() {
-            // Idle frames cannot change the open set; a caller-cached
-            // snapshot stays valid, so `open_out` is left untouched.
-            return 0;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        let tag = self.begin_locked(&mut inner, frame);
-        if let Some(open) = open_out {
-            open.clear();
-            open.extend(inner.open.iter().map(|t| t.id));
-        }
-        tag
-    }
-
     /// One non-idle frame boundary: expires lingering traces, then opens a
     /// trace if the sampler picks `frame` (evicting the oldest open trace
     /// at the cap). Returns the new trace's tag, or 0.
@@ -645,29 +624,8 @@ impl Tracer {
         true
     }
 
-    /// Records one delivery burst attributed to trace `tag`: a
-    /// [`SpanKind::PeService`] span on the consumer with hop/wait/cross
-    /// children, advancing the trace clock by the total cost.
-    ///
-    /// `from` is the producer `(slot, kind-name)` (`None` for ADC source
-    /// deliveries, which have no NoC hop). Returns `false` when the trace
-    /// has already closed — the caller should clear the propagating FIFO
-    /// tag.
-    #[allow(clippy::too_many_arguments)] // one flat hot-path call, not an API surface
-    pub fn delivery(
-        &self,
-        tag: u64,
-        from: Option<(u8, &'static str)>,
-        to: u8,
-        to_name: &'static str,
-        tokens: u32,
-        bytes: u64,
-        costs: DeliveryCosts,
-    ) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        self.delivery_locked(&mut inner, tag, from, to, to_name, tokens, bytes, costs)
-    }
-
+    /// Records one delivery burst into trace `tag`'s span tree (see
+    /// [`TraceEvent::Delivery`]); a closed trace ignores it.
     #[allow(clippy::too_many_arguments)]
     fn delivery_locked(
         &self,
@@ -679,9 +637,9 @@ impl Tracer {
         tokens: u32,
         bytes: u64,
         costs: DeliveryCosts,
-    ) -> bool {
+    ) {
         let Some(build) = inner.open.iter_mut().find(|t| t.id == tag) else {
-            return false;
+            return;
         };
         let trace = TraceId(build.id);
         let t0 = build.clock_ns;
@@ -710,7 +668,7 @@ impl Tracer {
             // Span capacity exhausted: stop growing the tree but keep the
             // clock honest so the root still covers the activity.
             build.clock_ns = t0 + total;
-            return true;
+            return;
         }
         let mut cursor = t0;
         if let Some((from_slot, from_name)) = from {
@@ -773,16 +731,10 @@ impl Tracer {
             );
         }
         build.clock_ns = t0 + total;
-        true
     }
 
-    /// Records radio MAC framing of `bytes` uplink bytes attributed to
-    /// trace `tag`. Returns `false` when the trace has closed.
-    pub fn radio_frame(&self, tag: u64, node: u8, tokens: u32, bytes: u64, ns: u64) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        self.radio_locked(&mut inner, tag, node, tokens, bytes, ns)
-    }
-
+    /// Records radio framing into trace `tag`'s span tree; a closed trace
+    /// ignores it.
     fn radio_locked(
         &self,
         inner: &mut TracerInner,
@@ -791,9 +743,9 @@ impl Tracer {
         tokens: u32,
         bytes: u64,
         ns: u64,
-    ) -> bool {
+    ) {
         let Some(build) = inner.open.iter_mut().find(|t| t.id == tag) else {
-            return false;
+            return;
         };
         let trace = TraceId(build.id);
         let t0 = build.clock_ns;
@@ -815,17 +767,14 @@ impl Tracer {
             },
         );
         build.clock_ns = t0 + ns;
-        true
     }
 
     /// Commits a frame's buffered trace events under one lock.
     ///
-    /// Equivalent to calling [`Tracer::delivery`] / [`Tracer::radio_frame`]
-    /// eagerly in buffer order — the span streams are identical — but the
-    /// mutex is taken once per frame instead of once per burst, which is
-    /// what keeps sampled tracing cheap on burst-heavy pipelines. Events
-    /// whose trace has closed are silently dropped (the eager calls would
-    /// have returned `false`).
+    /// Events land in buffer order, under one lock per frame instead of
+    /// one per burst, which is what keeps sampled tracing cheap on
+    /// burst-heavy pipelines. Events whose trace has closed are silently
+    /// dropped.
     pub fn record_batch(&self, events: &[TraceEvent]) {
         if events.is_empty() {
             return;
@@ -859,24 +808,32 @@ impl Tracer {
 
     /// Fills `open` with the ids of currently open traces (cleared first).
     ///
-    /// The open set only changes inside [`Tracer::begin_frame`] /
-    /// [`Tracer::begin_frame_into`] (deliveries never close a trace), so a
-    /// runtime that refreshes this at each frame start can answer "is this
-    /// tag still live?" with a local membership test instead of a lock per
-    /// burst — the exact semantics of the `bool` the eager calls return.
+    /// The open set only changes at frame boundaries
+    /// ([`Tracer::begin_frame_into`], [`Tracer::advance_quiet`]; deliveries
+    /// never close a trace), so a runtime that refreshes this at each frame
+    /// start can answer "is this tag still live?" with a local membership
+    /// test instead of a lock per burst.
     pub fn open_tags_into(&self, open: &mut Vec<u64>) {
         open.clear();
         let inner = self.inner.lock().unwrap();
         open.extend(inner.open.iter().map(|t| t.id));
     }
 
-    /// [`Tracer::begin_frame`] fused with [`Tracer::open_tags_into`]: one
-    /// lock decides the frame's tag *and* snapshots the post-expiry open
-    /// set. When the sampler is idle the early exit leaves `open`
-    /// untouched — idle frames cannot change the open set, so a cached
-    /// copy stays valid.
+    /// Called by the runtime at the top of every frame. Returns the trace
+    /// tag for this frame's source deliveries (0 = untraced), after
+    /// expiring traces past their linger window, and snapshots the
+    /// post-expiry open set into `open` under the same lock. When the
+    /// sampler is idle the early exit leaves `open` untouched — idle
+    /// frames cannot change the open set, so a cached copy stays valid.
     pub fn begin_frame_into(&self, frame: u64, open: &mut Vec<u64>) -> u64 {
-        self.begin_frame_impl(frame, Some(open))
+        if self.sampler.idle() {
+            return 0;
+        }
+        let mut inner = self.inner.lock().unwrap();
+        let tag = self.begin_locked(&mut inner, frame);
+        open.clear();
+        open.extend(inner.open.iter().map(|t| t.id));
+        tag
     }
 
     /// Attributes a closed-loop stimulation command to the most recent
@@ -987,6 +944,11 @@ impl Tracer {
 mod tests {
     use super::*;
 
+    /// Opens frame `frame` as the runtime does, returning its tag.
+    fn begin(tracer: &Tracer, frame: u64) -> u64 {
+        tracer.begin_frame_into(frame, &mut Vec::new())
+    }
+
     #[test]
     fn sampler_is_deterministic() {
         let a = TraceSampler::new(7, 64);
@@ -1025,37 +987,45 @@ mod tests {
         let tracer = Tracer::new(3, 4).with_linger_frames(4);
         // Frame guaranteed sampled via forced credit.
         tracer.sampler().force_next(1);
-        let tag = tracer.begin_frame(0);
+        let tag = begin(&tracer, 0);
         assert_ne!(tag, 0);
-        assert!(tracer.delivery(
-            tag,
-            None,
-            2,
-            "FFT",
-            8,
-            16,
-            DeliveryCosts {
-                noc_ns: 0,
-                wait_ns: 5,
-                cross_ns: 0,
-                service_ns: 40,
+        tracer.record_batch(&[
+            TraceEvent::Delivery {
+                tag,
+                from: None,
+                to: 2,
+                to_name: "FFT",
+                tokens: 8,
+                bytes: 16,
+                costs: DeliveryCosts {
+                    noc_ns: 0,
+                    wait_ns: 5,
+                    cross_ns: 0,
+                    service_ns: 40,
+                },
             },
-        ));
-        assert!(tracer.delivery(
-            tag,
-            Some((2, "FFT")),
-            3,
-            "SVM",
-            1,
-            4,
-            DeliveryCosts {
-                noc_ns: 87,
-                wait_ns: 0,
-                cross_ns: 3,
-                service_ns: 20,
+            TraceEvent::Delivery {
+                tag,
+                from: Some((2, "FFT")),
+                to: 3,
+                to_name: "SVM",
+                tokens: 1,
+                bytes: 4,
+                costs: DeliveryCosts {
+                    noc_ns: 87,
+                    wait_ns: 0,
+                    cross_ns: 3,
+                    service_ns: 20,
+                },
             },
-        ));
-        assert!(tracer.radio_frame(tag, 5, 1, 4, 694));
+            TraceEvent::Radio {
+                tag,
+                node: 5,
+                tokens: 1,
+                bytes: 4,
+                ns: 694,
+            },
+        ]);
         tracer.finalize_all();
         let trees = tracer.trees();
         assert_eq!(trees.len(), 1);
@@ -1100,7 +1070,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_events_equal_eager_calls() {
+    fn one_batch_equals_one_batch_per_event() {
         let costs = DeliveryCosts {
             noc_ns: 7,
             wait_ns: 3,
@@ -1113,48 +1083,47 @@ mod tests {
             let mut open = Vec::new();
             let tag = tracer.begin_frame_into(0, &mut open);
             assert_eq!(open, vec![tag]);
+            let events = [
+                TraceEvent::Delivery {
+                    tag,
+                    from: None,
+                    to: 1,
+                    to_name: "FFT",
+                    tokens: 8,
+                    bytes: 16,
+                    costs,
+                },
+                TraceEvent::Delivery {
+                    tag,
+                    from: Some((1, "FFT")),
+                    to: 2,
+                    to_name: "SVM",
+                    tokens: 1,
+                    bytes: 4,
+                    costs,
+                },
+                TraceEvent::Radio {
+                    tag,
+                    node: 2,
+                    tokens: 1,
+                    bytes: 4,
+                    ns: 55,
+                },
+                // A closed/unknown tag is silently dropped.
+                TraceEvent::Radio {
+                    tag: 9999,
+                    node: 2,
+                    tokens: 1,
+                    bytes: 4,
+                    ns: 55,
+                },
+            ];
             if batch {
-                tracer.record_batch(&[
-                    TraceEvent::Delivery {
-                        tag,
-                        from: None,
-                        to: 1,
-                        to_name: "FFT",
-                        tokens: 8,
-                        bytes: 16,
-                        costs,
-                    },
-                    TraceEvent::Delivery {
-                        tag,
-                        from: Some((1, "FFT")),
-                        to: 2,
-                        to_name: "SVM",
-                        tokens: 1,
-                        bytes: 4,
-                        costs,
-                    },
-                    TraceEvent::Radio {
-                        tag,
-                        node: 2,
-                        tokens: 1,
-                        bytes: 4,
-                        ns: 55,
-                    },
-                    // A closed/unknown tag is silently dropped, like the
-                    // eager call returning false.
-                    TraceEvent::Radio {
-                        tag: 9999,
-                        node: 2,
-                        tokens: 1,
-                        bytes: 4,
-                        ns: 55,
-                    },
-                ]);
+                tracer.record_batch(&events);
             } else {
-                tracer.delivery(tag, None, 1, "FFT", 8, 16, costs);
-                tracer.delivery(tag, Some((1, "FFT")), 2, "SVM", 1, 4, costs);
-                tracer.radio_frame(tag, 2, 1, 4, 55);
-                assert!(!tracer.radio_frame(9999, 2, 1, 4, 55));
+                for event in events {
+                    tracer.record_batch(&[event]);
+                }
             }
             tracer.finalize_all();
             tracer.trees()
@@ -1166,19 +1135,32 @@ mod tests {
     fn closed_trace_rejects_deliveries() {
         let tracer = Tracer::new(1, 2).with_linger_frames(1);
         tracer.sampler().force_next(1);
-        let tag = tracer.begin_frame(0);
+        let tag = begin(&tracer, 0);
         assert_ne!(tag, 0);
         // Next frame expires the lingering trace before sampling.
-        let _ = tracer.begin_frame(1);
-        assert!(!tracer.delivery(tag, None, 0, "LZ", 1, 2, DeliveryCosts::default()));
+        let mut open = Vec::new();
+        let _ = tracer.begin_frame_into(1, &mut open);
+        assert!(!open.contains(&tag));
+        tracer.record_batch(&[TraceEvent::Delivery {
+            tag,
+            from: None,
+            to: 0,
+            to_name: "LZ",
+            tokens: 1,
+            bytes: 2,
+            costs: DeliveryCosts::default(),
+        }]);
+        let trees = tracer.trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].spans.len(), 1, "only the root span");
     }
 
     #[test]
     fn stim_attributes_to_most_recent_trace() {
         let tracer = Tracer::new(11, 0).with_linger_frames(100);
         tracer.sampler().force_next(2);
-        let t1 = tracer.begin_frame(10);
-        let t2 = tracer.begin_frame(20);
+        let t1 = begin(&tracer, 10);
+        let t2 = begin(&tracer, 20);
         assert!(t1 != 0 && t2 != 0);
         assert!(tracer.note_stim(25, 4, 1_000));
         tracer.finalize_all();
@@ -1196,7 +1178,7 @@ mod tests {
         let tracer = Tracer::new(5, 0);
         tracer.sampler().force_next(3);
         for f in 0..3 {
-            assert_ne!(tracer.begin_frame(f), 0);
+            assert_ne!(begin(&tracer, f), 0);
         }
         tracer.finalize_all();
         let stats = tracer.stats();
