@@ -30,8 +30,9 @@ fn main() {
     let sample_rate = config.sample_rate_hz;
     let mut system = HaloSystem::new(Task::CompressLzma, config).unwrap();
 
-    // A Recorder is a TelemetrySink holding atomic counters and a bounded
-    // event ring; share it with the system, keep a handle for export.
+    // A Recorder is a TelemetrySink folding each window's report into
+    // totals and a bounded event ring; share it with the system, keep a
+    // handle for export.
     let recorder = Arc::new(Recorder::new(16_384).with_sample_rate_hz(sample_rate));
     system.attach_telemetry(recorder.clone());
 
