@@ -7,8 +7,9 @@
 //! busy-cycle rate into an activity factor against the domain's anchor
 //! frequency and evaluates the anchor model there.
 //!
-//! The resulting milliwatt samples feed `PowerSample` telemetry events and
-//! become per-domain counter tracks in the Chrome trace.
+//! The resulting milliwatt samples ride in each telemetry window report
+//! (`SlotWindow::milliwatts`), which the recorder keeps as one window
+//! entry and the Chrome trace draws as per-domain counter tracks.
 
 use crate::model::PePowerModel;
 use crate::table::pe_anchor;

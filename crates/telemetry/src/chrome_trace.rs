@@ -5,12 +5,15 @@
 //! and understood by Perfetto (<https://ui.perfetto.dev>) and
 //! `chrome://tracing`. Track layout:
 //!
-//! * pid 0, tid `100 + slot` — one slice track per PE. `PeWindow` events
-//!   become complete (`"X"`) slices whose duration is the sampling window,
-//!   with busy/stall cycles and byte counts in `args`.
-//! * `"NoC bytes/s"` — a counter (`"C"`) track fed by `NocWindow` events.
-//! * `"power <PE> (mW)"` — one counter track per clock domain, fed by
-//!   `PowerSample` events.
+//! * pid 0, tid `100 + slot` — one slice track per PE. Each
+//!   [`EventKind::Window`] entry gives every slot active in it a complete
+//!   (`"X"`) slice whose duration is the sampling window, with busy/stall
+//!   cycles and byte counts in `args`.
+//! * Counter (`"C"`) tracks fed by the same entries: `"NoC bytes/s"` and
+//!   `"radio bits/s"` at the window's start; at its end one
+//!   `"power PE<slot> <KIND> (mW)"` track per clock domain, and one
+//!   `"fifo PE<slot> <KIND> (tokens)"` track per output FIFO once it has
+//!   held data.
 //! * pid 0, tid 99 — the controller track: instant (`"i"`) events for
 //!   switch programming, stimulation pulses, and detections.
 //! * Causal-trace spans ([`EventKind::Span`]) become `"X"` slices on their
@@ -28,7 +31,7 @@
 
 use crate::json;
 use crate::recorder::Recorder;
-use crate::sink::EventKind;
+use crate::sink::{EventKind, WindowRecord};
 use crate::tracing::{SpanKind, NO_NODE};
 
 /// tid of the controller/annotation track.
@@ -79,55 +82,54 @@ pub fn render(recorder: &Recorder) -> String {
 
     for event in &events {
         match &event.kind {
-            EventKind::PeWindow {
-                slot,
-                name,
-                frames,
-                busy_cycles,
-                stall_cycles,
-                bytes_in,
-                bytes_out,
-            } => {
+            EventKind::Window(window) => {
+                let WindowRecord { report, names } = &**window;
+                let window_s = report.frames as f64 / recorder.sample_rate_hz() as f64;
+                let (start, end) = (ts(event.frame), ts(report.end()));
+                let dur = json::number(report.frames as f64 * us_per_frame);
+                for (slot, (w, name)) in report.slots.iter().zip(names).enumerate() {
+                    if w.is_active() {
+                        entries.push(format!(
+                            "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{start},\"dur\":{dur},\
+                             \"cat\":\"pe\",\"name\":{name},\"args\":{{\
+                             \"busy_cycles\":{busy},\"stall_cycles\":{stall},\
+                             \"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out}}}}}",
+                            tid = PE_TID_BASE + slot as u32,
+                            name = json::string(name),
+                            busy = w.busy_cycles,
+                            stall = w.stall_cycles,
+                            bytes_in = w.bytes_in,
+                            bytes_out = w.bytes_out,
+                        ));
+                    }
+                    if w.fifo_high_water != 0 {
+                        entries.push(format!(
+                            "{{\"ph\":\"C\",\"pid\":0,\"ts\":{end},\"name\":{name},\
+                             \"args\":{{\"peak\":{peak}}}}}",
+                            name = json::string(&format!("fifo PE{slot} {name} (tokens)")),
+                            peak = w.fifo_high_water,
+                        ));
+                    }
+                    entries.push(format!(
+                        "{{\"ph\":\"C\",\"pid\":0,\"ts\":{end},\"name\":{name},\
+                         \"args\":{{\"mW\":{mw}}}}}",
+                        name = json::string(&format!("power PE{slot} {name} (mW)")),
+                        mw = json::number(w.milliwatts),
+                    ));
+                }
+                // Zero-frame windows never reach the ring; `json::number`
+                // would print a rate over zero seconds as 0.
+                let (bytes, transfers) = report.noc();
                 entries.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
-                     \"cat\":\"pe\",\"name\":{name},\"args\":{{\
-                     \"busy_cycles\":{busy_cycles},\"stall_cycles\":{stall_cycles},\
-                     \"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out}}}}}",
-                    tid = PE_TID_BASE + *slot as u32,
-                    ts = ts(event.frame),
-                    dur = json::number(*frames as f64 * us_per_frame),
-                    name = json::string(name),
-                ));
-            }
-            EventKind::NocWindow {
-                frames,
-                bytes,
-                transfers,
-            } => {
-                let window_s = *frames as f64 / recorder.sample_rate_hz() as f64;
-                let rate = if window_s > 0.0 {
-                    *bytes as f64 / window_s
-                } else {
-                    0.0
-                };
-                entries.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{ts},\"name\":\"NoC bytes/s\",\
+                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{start},\"name\":\"NoC bytes/s\",\
                      \"args\":{{\"bytes_per_s\":{rate},\"transfers\":{transfers}}}}}",
-                    ts = ts(event.frame),
-                    rate = json::number(rate),
+                    rate = json::number(bytes as f64 / window_s),
                 ));
-            }
-            EventKind::PowerSample {
-                slot,
-                name,
-                milliwatts,
-            } => {
                 entries.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{ts},\"name\":{name},\
-                     \"args\":{{\"mW\":{mw}}}}}",
-                    ts = ts(event.frame),
-                    name = json::string(&format!("power PE{slot} {name} (mW)")),
-                    mw = json::number(*milliwatts),
+                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{start},\"name\":\"radio bits/s\",\
+                     \"args\":{{\"bits_per_s\":{rate},\"bytes\":{bytes}}}}}",
+                    rate = json::number(report.radio_bytes as f64 * 8.0 / window_s),
+                    bytes = report.radio_bytes,
                 ));
             }
             EventKind::SwitchProgram { words, generation } => {
@@ -135,28 +137,6 @@ pub fn render(recorder: &Recorder) -> String {
                     &ts(event.frame),
                     "switch program",
                     &format!("{{\"words\":{words},\"generation\":{generation}}}"),
-                ));
-            }
-            EventKind::FifoWindow { slot, name, peak } => {
-                entries.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{ts},\"name\":{name},\
-                     \"args\":{{\"peak\":{peak}}}}}",
-                    ts = ts(event.frame),
-                    name = json::string(&format!("fifo PE{slot} {name} (tokens)")),
-                ));
-            }
-            EventKind::RadioWindow { frames, bytes } => {
-                let window_s = *frames as f64 / recorder.sample_rate_hz() as f64;
-                let rate = if window_s > 0.0 {
-                    *bytes as f64 * 8.0 / window_s
-                } else {
-                    0.0
-                };
-                entries.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":0,\"ts\":{ts},\"name\":\"radio bits/s\",\
-                     \"args\":{{\"bits_per_s\":{rate},\"bytes\":{bytes}}}}}",
-                    ts = ts(event.frame),
-                    rate = json::number(rate),
                 ));
             }
             EventKind::ClosedLoop {
@@ -295,7 +275,7 @@ fn instant(ts: &str, name: &str, args: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{Event, SlotWindow, TelemetrySink, WindowReport};
+    use crate::sink::{Event, LinkWindow, SlotWindow, TelemetrySink, WindowReport};
 
     fn populated_recorder() -> Recorder {
         let rec = Recorder::new(256).with_sample_rate_hz(30_000);
@@ -310,54 +290,36 @@ mod tests {
             slots: vec![busy(500), busy(100)],
             ..WindowReport::default()
         });
-        rec.event(Event {
-            frame: 0,
-            kind: EventKind::PeWindow {
-                slot: 0,
-                name: "LZ",
-                frames: 30,
-                busy_cycles: 500,
-                stall_cycles: 3,
-                bytes_in: 64,
-                bytes_out: 40,
-            },
-        });
-        rec.event(Event {
-            frame: 30,
-            kind: EventKind::NocWindow {
-                frames: 30,
+        // LZ works and its FIFO fills; AES idles but still leaks.
+        rec.window(&WindowReport {
+            start: 0,
+            frames: 30,
+            slots: vec![
+                SlotWindow {
+                    busy_cycles: 500,
+                    stall_cycles: 3,
+                    bytes_in: 64,
+                    bytes_out: 40,
+                    fifo_high_water: 7,
+                    milliwatts: 0.728,
+                    service_ns: 4_000,
+                },
+                SlotWindow::default(),
+            ],
+            links: vec![LinkWindow {
+                from: 0,
+                to: 1,
                 bytes: 128,
                 transfers: 2,
-            },
-        });
-        rec.event(Event {
-            frame: 30,
-            kind: EventKind::PowerSample {
-                slot: 0,
-                name: "LZ",
-                milliwatts: 0.728,
-            },
+            }],
+            radio_bytes: 4800,
+            frame_latency_ns: vec![1_000; 30],
         });
         rec.event(Event {
             frame: 31,
             kind: EventKind::SwitchProgram {
                 words: 6,
                 generation: 2,
-            },
-        });
-        rec.event(Event {
-            frame: 31,
-            kind: EventKind::FifoWindow {
-                slot: 0,
-                name: "LZ",
-                peak: 7,
-            },
-        });
-        rec.event(Event {
-            frame: 31,
-            kind: EventKind::RadioWindow {
-                frames: 30,
-                bytes: 4800,
             },
         });
         rec.event(Event {
@@ -458,6 +420,27 @@ mod tests {
         assert!(trace.contains("radio bits/s"));
         assert!(trace.contains("closed loop"));
         assert!(trace.contains("health power_budget"));
+    }
+
+    #[test]
+    fn a_window_entry_draws_a_slice_per_active_slot_and_its_counters() {
+        let trace = render(&populated_recorder());
+        let count = |needle: &str| trace.matches(needle).count();
+        // Only LZ was active and only its FIFO held data; both domains
+        // report power.
+        assert_eq!(count("\"cat\":\"pe\""), 1);
+        assert!(trace.contains(
+            "\"cat\":\"pe\",\"name\":\"LZ\",\"args\":{\"busy_cycles\":500,\
+             \"stall_cycles\":3,\"bytes_in\":64,\"bytes_out\":40}"
+        ));
+        assert_eq!(count("\"fifo PE"), 1);
+        assert!(trace.contains("\"name\":\"fifo PE0 LZ (tokens)\",\"args\":{\"peak\":7}"));
+        assert_eq!(count("\"power PE"), 2);
+        assert!(trace.contains("\"name\":\"power PE0 LZ (mW)\",\"args\":{\"mW\":0.728}"));
+        assert_eq!(count("\"NoC bytes/s\""), 1);
+        assert!(trace.contains("\"transfers\":2}"));
+        assert_eq!(count("\"radio bits/s\""), 1);
+        assert!(trace.contains("\"bytes\":4800}"));
     }
 
     #[test]

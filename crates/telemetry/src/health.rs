@@ -25,11 +25,13 @@
 //! [`ContinuousTelemetry`](crate::ContinuousTelemetry) store installed,
 //! every reading is also recorded with its utilization. Any *critical*
 //! alert (or an explicit [`HealthMonitor::note_runtime_error`]) latches a
-//! post-mortem: a JSON black-box dump of the recorder's last N events,
-//! every counter, the fabric configuration generation, and the active
-//! pipeline — everything needed to reconstruct the device's final moments
-//! without a debugger attached. A dump latched by a window's alert reads
-//! the recorder as it stood right after that window was folded.
+//! post-mortem: a JSON black-box dump of the recorder's last
+//! [`POSTMORTEM_EVENTS`] events (each window one entry), every counter,
+//! and the fabric configuration generation and active pipeline the
+//! recorder last saw — everything needed to reconstruct the device's
+//! final moments without a debugger attached. A dump latched by a
+//! window's alert reads the recorder as it stood right after that window
+//! was folded.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,7 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::json;
 use crate::recorder::Recorder;
-use crate::sink::{Event, EventKind, Severity, TelemetrySink, WindowReport};
+use crate::sink::{Event, EventKind, Severity, TelemetrySink, WindowRecord, WindowReport};
 use crate::span_tree::{span_json, SpanTree};
 use crate::tracing::Tracer;
 use crate::tsdb::{ContinuousState, SeriesKind};
@@ -50,6 +52,15 @@ pub const DEVICE_BUDGET_MW: f64 = 15.0;
 /// Radio ceiling in bits per second: 46 Mbps as 46 × 1024 × 1000 bps,
 /// enough for 96 channels × 16 bit × 30 kHz uncompressed.
 pub const RADIO_CEILING_BPS: f64 = 46_080_000.0;
+
+/// How many of the recorder's newest events a post-mortem embeds (fewer
+/// when the recorder's own ring is smaller).
+pub const POSTMORTEM_EVENTS: usize = 256;
+
+/// Frames a critical alert force-samples when a [`Tracer`] is attached
+/// ([`HealthMonitor::set_tracer`]), so the post-mortem carries causal
+/// span trees from the incident window.
+pub const ESCALATE_TRACE_FRAMES: u64 = 16;
 
 /// What the watchdog does when an envelope is violated.
 #[derive(Clone)]
@@ -82,17 +93,8 @@ pub struct HealthConfig {
     /// Closed-loop detection→stimulation deadline, sample frames
     /// (30 frames at 30 kHz = the paper's 1 ms response requirement).
     pub deadline_frames: u64,
-    /// Radio throughput ceiling, bits per second.
-    pub radio_ceiling_bps: f64,
-    /// How many of the recorder's most recent events a post-mortem embeds
-    /// (bounded by the recorder's own event capacity).
-    pub ring_capacity: usize,
     /// What to do when an envelope is violated.
     pub policy: AlertPolicy,
-    /// When a [`Tracer`] is attached ([`HealthMonitor::set_tracer`]), any
-    /// critical alert force-samples this many subsequent frames so the
-    /// post-mortem carries causal span trees from the incident window.
-    pub escalate_trace_frames: u64,
 }
 
 impl Default for HealthConfig {
@@ -100,10 +102,7 @@ impl Default for HealthConfig {
         Self {
             budget_mw: DEVICE_BUDGET_MW,
             deadline_frames: 30,
-            radio_ceiling_bps: RADIO_CEILING_BPS,
-            ring_capacity: 256,
             policy: AlertPolicy::Record,
-            escalate_trace_frames: 16,
         }
     }
 }
@@ -264,10 +263,6 @@ struct WatchdogState {
     worst_window: Option<(u64, f64)>,
     /// Power windows evaluated.
     power_windows: u64,
-    /// Fabric configuration generation from the last `SwitchProgram`.
-    fabric_generation: u64,
-    /// Label of the last `Marker` event.
-    active_pipeline: &'static str,
     /// Retained alert runs (bounded, repeats coalesced) and the overflow
     /// count of runs that could not be retained.
     alerts: Vec<CoalescedAlert>,
@@ -309,8 +304,6 @@ impl WatchdogState {
         Self {
             worst_window: None,
             power_windows: 0,
-            fabric_generation: 0,
-            active_pipeline: "pipeline",
             alerts: Vec::new(),
             alerts_dropped: 0,
             tail_open: false,
@@ -386,9 +379,10 @@ pub struct HealthStatus {
     pub alerts_dropped: u64,
     /// Alert totals indexed by [`Severity`] as usize.
     pub severity_counts: [u64; 3],
-    /// Fabric configuration generation at the last reprogramming.
+    /// Fabric configuration generation at the last reprogramming, as the
+    /// recorder saw it.
     pub fabric_generation: u64,
-    /// Label of the most recent pipeline marker.
+    /// Label of the recorder's most recent pipeline marker.
     pub active_pipeline: &'static str,
 }
 
@@ -471,7 +465,7 @@ impl HealthMonitor {
     }
 
     /// Attaches a causal tracer: critical alerts force-sample the next
-    /// [`HealthConfig::escalate_trace_frames`] frames and post-mortem dumps
+    /// [`ESCALATE_TRACE_FRAMES`] frames and post-mortem dumps
     /// gain a `span_trees` section with the most recent assembled traces.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
         *self.tracer.lock().unwrap() = Some(tracer);
@@ -506,6 +500,7 @@ impl HealthMonitor {
 
     /// Current health digest.
     pub fn status(&self) -> HealthStatus {
+        let snap = self.recorder.snapshot();
         let state = self.state();
         HealthStatus {
             worst_window: state.worst_window,
@@ -514,8 +509,8 @@ impl HealthMonitor {
             alerts: state.alerts.clone(),
             alerts_dropped: state.alerts_dropped,
             severity_counts: state.severity_counts,
-            fabric_generation: state.fabric_generation,
-            active_pipeline: state.active_pipeline,
+            fabric_generation: snap.fabric_generation,
+            active_pipeline: snap.active_pipeline,
         }
     }
 
@@ -601,9 +596,7 @@ impl HealthMonitor {
             // are the ones the post-mortem wants span trees for. Repeats
             // within a run already escalated.
             if let Some(tracer) = self.tracer() {
-                tracer
-                    .sampler()
-                    .force_next(self.config.escalate_trace_frames);
+                tracer.sampler().force_next(ESCALATE_TRACE_FRAMES);
             }
             if state.postmortem.is_none() {
                 state.postmortem = Some(self.render_postmortem(
@@ -631,7 +624,7 @@ impl HealthMonitor {
 
     /// Take in one watched event under the state lock: a closed-loop
     /// response is a reading against the deadline, judged by the SLO
-    /// engine too; the rest update the context post-mortems carry.
+    /// engine too; a fault is noted for post-mortems.
     fn inspect(&self, state: &mut WatchdogState, event: &Event, alerts: &mut Vec<HealthAlert>) {
         let frame = event.frame;
         match event.kind {
@@ -654,8 +647,6 @@ impl HealthMonitor {
                 let newest = state.continuous.as_ref().and_then(power);
                 self.poll(state, alerts, newest.map_or(frame, |p| p.frame.max(frame)));
             }
-            EventKind::SwitchProgram { generation, .. } => state.fabric_generation = generation,
-            EventKind::Marker { name } => state.active_pipeline = name,
             EventKind::Fault {
                 kind,
                 slot,
@@ -692,7 +683,7 @@ impl HealthMonitor {
         }
         let window_s = f64::from(report.frames) / self.recorder.sample_rate_hz() as f64;
         let bits_per_s = report.radio_bytes as f64 * 8.0 / window_s;
-        let ceiling_bps = self.config.radio_ceiling_bps;
+        let ceiling_bps = RADIO_CEILING_BPS;
         let breach = (bits_per_s > ceiling_bps).then_some(AlertKind::RadioThroughput {
             bits_per_s,
             ceiling_bps,
@@ -757,8 +748,8 @@ impl HealthMonitor {
             "\"reason\":{},\"frame\":{frame},\"fabric_generation\":{},\
              \"active_pipeline\":{},",
             json::string(reason),
-            state.fabric_generation,
-            json::string(state.active_pipeline),
+            snap.fabric_generation,
+            json::string(snap.active_pipeline),
         ));
         out.push_str(&format!(
             "\"alerts\":{{\"info\":{},\"warning\":{},\"critical\":{},\"dropped\":{}}},",
@@ -860,7 +851,7 @@ impl HealthMonitor {
         out.push_str("],\"recent_events\":[");
         let events: Vec<String> = self
             .recorder
-            .recent_events(self.config.ring_capacity)
+            .recent_events(POSTMORTEM_EVENTS)
             .iter()
             .map(event_json)
             .collect();
@@ -873,45 +864,39 @@ impl HealthMonitor {
 /// Serialize one timeline event as a JSON object for the flight recorder.
 fn event_json(event: &Event) -> String {
     let body = match &event.kind {
-        EventKind::PeWindow {
-            slot,
-            name,
-            frames,
-            busy_cycles,
-            stall_cycles,
-            bytes_in,
-            bytes_out,
-        } => format!(
-            "\"pe_window\",\"slot\":{slot},\"name\":{},\"frames\":{frames},\
-             \"busy_cycles\":{busy_cycles},\"stall_cycles\":{stall_cycles},\
-             \"bytes_in\":{bytes_in},\"bytes_out\":{bytes_out}",
-            json::string(name)
-        ),
-        EventKind::NocWindow {
-            frames,
-            bytes,
-            transfers,
-        } => format!(
-            "\"noc_window\",\"frames\":{frames},\"bytes\":{bytes},\"transfers\":{transfers}"
-        ),
-        EventKind::PowerSample {
-            slot,
-            name,
-            milliwatts,
-        } => format!(
-            "\"power_sample\",\"slot\":{slot},\"name\":{},\"milliwatts\":{}",
-            json::string(name),
-            json::number(*milliwatts)
-        ),
+        EventKind::Window(window) => {
+            let WindowRecord { report, names } = &**window;
+            let slots: Vec<String> = report
+                .slots
+                .iter()
+                .zip(names)
+                .enumerate()
+                .map(|(slot, (w, name))| {
+                    format!(
+                        "{{\"slot\":{slot},\"name\":{},\"busy_cycles\":{},\"stall_cycles\":{},\
+                         \"bytes_in\":{},\"bytes_out\":{},\"fifo_high_water\":{},\
+                         \"milliwatts\":{}}}",
+                        json::string(name),
+                        w.busy_cycles,
+                        w.stall_cycles,
+                        w.bytes_in,
+                        w.bytes_out,
+                        w.fifo_high_water,
+                        json::number(w.milliwatts)
+                    )
+                })
+                .collect();
+            let (noc_bytes, noc_transfers) = report.noc();
+            format!(
+                "\"window\",\"frames\":{},\"noc_bytes\":{noc_bytes},\
+                 \"noc_transfers\":{noc_transfers},\"radio_bytes\":{},\"slots\":[{}]",
+                report.frames,
+                report.radio_bytes,
+                slots.join(",")
+            )
+        }
         EventKind::SwitchProgram { words, generation } => {
             format!("\"switch_program\",\"words\":{words},\"generation\":{generation}")
-        }
-        EventKind::FifoWindow { slot, name, peak } => format!(
-            "\"fifo_window\",\"slot\":{slot},\"name\":{},\"peak\":{peak}",
-            json::string(name)
-        ),
-        EventKind::RadioWindow { frames, bytes } => {
-            format!("\"radio_window\",\"frames\":{frames},\"bytes\":{bytes}")
         }
         EventKind::ClosedLoop {
             detect_frame,
@@ -981,14 +966,11 @@ impl TelemetrySink for HealthMonitor {
     }
 
     fn event(&self, event: Event) {
-        // Spans, detections and the rest carry nothing the watchdog takes
-        // in: they go straight to the recorder, off its lock.
+        // Only responses and faults reach the watchdog; the rest go
+        // straight to the recorder, off its lock.
         if !matches!(
             event.kind,
-            EventKind::ClosedLoop { .. }
-                | EventKind::SwitchProgram { .. }
-                | EventKind::Marker { .. }
-                | EventKind::Fault { .. }
+            EventKind::ClosedLoop { .. } | EventKind::Fault { .. }
         ) {
             return self.recorder.event(event);
         }
@@ -1106,6 +1088,16 @@ mod tests {
         assert!(dump.contains("\"frame\":300,"), "{dump}");
         assert!(dump.contains("\"counters\":{\"frames\":300,"), "{dump}");
         assert!(dump.contains("\"busy_cycles\":10,"), "{dump}");
+        // The window itself is one entry of the dump's recent events.
+        assert!(
+            dump.contains(
+                "{\"frame\":0,\"kind\":\"window\",\"frames\":300,\"noc_bytes\":0,\
+                 \"noc_transfers\":0,\"radio_bytes\":0,\"slots\":[{\"slot\":0,\"name\":\"?\",\
+                 \"busy_cycles\":10,\"stall_cycles\":0,\"bytes_in\":0,\"bytes_out\":0,\
+                 \"fifo_high_water\":0,\"milliwatts\":2}]}"
+            ),
+            "{dump}"
+        );
     }
 
     #[test]
@@ -1207,10 +1199,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_ring_is_bounded() {
-        let mon = monitor(HealthConfig {
-            ring_capacity: 4,
-            ..HealthConfig::default()
-        });
+        let mon = HealthMonitor::new(Arc::new(Recorder::new(4)), HealthConfig::default());
         for frame in 0..20 {
             mon.event(Event {
                 frame,
@@ -1348,7 +1337,6 @@ mod tests {
     fn critical_alert_escalates_tracing_and_dump_carries_trees() {
         let mon = monitor(HealthConfig {
             budget_mw: 1.0,
-            escalate_trace_frames: 3,
             ..HealthConfig::default()
         });
         let tracer = Arc::new(Tracer::new(7, 0));
@@ -1357,7 +1345,7 @@ mod tests {
         power_window(&mon, 0, &[2.0]);
         assert_eq!(
             tracer.sampler().forced_pending(),
-            3,
+            ESCALATE_TRACE_FRAMES,
             "critical alert must arm forced sampling"
         );
         // Simulate the escalated frames flowing through the fabric.

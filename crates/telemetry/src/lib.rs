@@ -11,13 +11,17 @@
 //!   sampling window's [`WindowReport`], plus a bounded ring buffer of
 //!   timestamped [`Event`]s (timestamps are sample frame indices,
 //!   convertible to wall time via the sample rate), all under one lock.
+//!   Each window with frames in it is one ring entry, a [`WindowRecord`]:
+//!   the report without its frame-latency samples, under the PE names
+//!   declared when it closed.
 //!
 //! A [`Recorder`] can be rendered two ways:
 //!
 //! * [`chrome_trace::render`] — Chrome Trace Format JSON, loadable in
-//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with one
-//!   track per active PE, a NoC bandwidth track, and per-clock-domain power
-//!   timeline tracks.
+//!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, drawn
+//!   from those window entries: one slice track per active PE, NoC and
+//!   radio rate tracks, and per-clock-domain power and per-FIFO depth
+//!   tracks.
 //! * [`expose::render`] — Prometheus text-format exposition for scraping,
 //!   CI diffing, or reading in a terminal.
 //!
@@ -95,7 +99,8 @@ pub use profile::{CycleProfile, DiffRow, Phase, ProfileDiff, ProfileRow};
 pub use recorder::{LinkSnapshot, PeSnapshot, PipelineLatency, Recorder, RecorderSnapshot};
 pub use replay::{ReplayReport, StimRecord, TraceLog};
 pub use sink::{
-    Event, EventKind, LinkWindow, NullSink, Severity, SlotWindow, TelemetrySink, WindowReport,
+    Event, EventKind, LinkWindow, NullSink, Severity, SlotWindow, TelemetrySink, WindowRecord,
+    WindowReport,
 };
 pub use slo::{BurnRateFiring, BurnRatePolicy, SloConfig, SloEngine, SloStatus};
 pub use span_tree::{CriticalPathSummary, HopCost, SpanTree, TreeError};

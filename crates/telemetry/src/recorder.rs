@@ -1,11 +1,13 @@
-//! The [`Recorder`] sink: per-PE, per-link and device totals plus a
-//! bounded event ring, under one lock.
+//! The [`Recorder`] sink: per-PE, per-link and device totals, the live
+//! fabric generation and pipeline label, and a bounded event ring holding
+//! one [`EventKind::Window`] entry per window with frames in it, all under
+//! one lock.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::histogram::{HistogramSummary, LogHistogram};
-use crate::sink::{Event, EventKind, TelemetrySink, WindowReport};
+use crate::sink::{Event, EventKind, TelemetrySink, WindowRecord, WindowReport};
 use crate::MAX_PES;
 
 /// Per-PE totals.
@@ -22,12 +24,8 @@ struct PeTotals {
 /// service time per PE.
 #[derive(Debug)]
 struct LatencyStore {
-    /// End-to-end frame latency per pipeline, keyed by the label of the
-    /// most recent `Marker` event (pipelines announce themselves with a
-    /// marker when telemetry is attached or the fabric is reconfigured).
+    /// End-to-end frame latency per pipeline label, in first-seen order.
     pipelines: Vec<(&'static str, LogHistogram)>,
-    /// Label samples are currently attributed to.
-    current: &'static str,
     /// Per-PE window service time, allocated lazily per slot.
     pe_service: Vec<Option<LogHistogram>>,
 }
@@ -36,17 +34,15 @@ impl LatencyStore {
     fn new() -> Self {
         Self {
             pipelines: Vec::new(),
-            current: "pipeline",
             pe_service: (0..MAX_PES).map(|_| None).collect(),
         }
     }
 
-    /// Record frame-latency samples under the current pipeline label.
-    fn record_frames(&mut self, samples: &[u64]) {
+    /// Record frame-latency samples under pipeline `label`.
+    fn record_frames(&mut self, label: &'static str, samples: &[u64]) {
         if samples.is_empty() {
             return;
         }
-        let label = self.current;
         let hist = match self.pipelines.iter().position(|(l, _)| *l == label) {
             Some(i) => &mut self.pipelines[i].1,
             None => {
@@ -121,6 +117,12 @@ struct RecorderState {
     stim_pulses: u64,
     radio_bytes: u64,
     frames: u64,
+    /// Fabric configuration generation from the last `SwitchProgram`.
+    fabric_generation: u64,
+    /// Label of the last `Marker` event: pipelines announce themselves
+    /// with one when telemetry is attached or the fabric reconfigured,
+    /// and frame latency is attributed to it.
+    active_pipeline: &'static str,
     ring: EventRing,
     latency: LatencyStore,
 }
@@ -181,6 +183,10 @@ pub struct RecorderSnapshot {
     pub stim_pulses: u64,
     pub radio_bytes: u64,
     pub frames: u64,
+    /// Fabric configuration generation at the last switch programming.
+    pub fabric_generation: u64,
+    /// Label of the most recent pipeline marker.
+    pub active_pipeline: &'static str,
     /// Events overwritten because the ring was full.
     pub dropped_events: u64,
     /// End-to-end frame-latency digests, one per pipeline that recorded
@@ -224,6 +230,8 @@ impl Recorder {
                 stim_pulses: 0,
                 radio_bytes: 0,
                 frames: 0,
+                fabric_generation: 0,
+                active_pipeline: "pipeline",
                 ring: EventRing::new(event_capacity),
                 latency: LatencyStore::new(),
             }),
@@ -338,6 +346,8 @@ impl Recorder {
             stim_pulses: s.stim_pulses,
             radio_bytes: s.radio_bytes,
             frames: s.frames,
+            fabric_generation: s.fabric_generation,
+            active_pipeline: s.active_pipeline,
             dropped_events: s.ring.dropped,
             pipelines,
         }
@@ -355,84 +365,55 @@ impl TelemetrySink for Recorder {
         }
     }
 
-    /// Folds the window into the totals and appends its timeline: per
-    /// active slot a `PeWindow`, per slot a `FifoWindow` (once its FIFO
-    /// ever held data) and a `PowerSample`, each under the slot's declared
-    /// name, then the `NocWindow` and `RadioWindow`. A zero-frame window
-    /// folds its counters only.
+    /// Folds the window into the totals. A window with frames in it also
+    /// becomes one [`EventKind::Window`] entry, stamped at its start,
+    /// that names each slot as declared now; a zero-frame window folds
+    /// its counters only.
     fn window(&self, report: &WindowReport) {
         let mut guard = self.state();
         let s = &mut *guard;
-        let (start, end) = (report.start, report.end());
-        let frames = report.frames;
-        s.frames += u64::from(frames);
+        s.frames += u64::from(report.frames);
         s.radio_bytes += report.radio_bytes;
-        s.latency.record_frames(&report.frame_latency_ns);
-        let (mut noc_bytes, mut noc_transfers) = (0, 0);
+        s.latency
+            .record_frames(s.active_pipeline, &report.frame_latency_ns);
         for link in &report.links {
             let total = s.links.entry((link.from, link.to)).or_default();
             total.0 += link.bytes;
             total.1 += link.transfers;
-            noc_bytes += link.bytes;
-            noc_transfers += link.transfers;
         }
-        for (slot, w) in report.slots.iter().enumerate().take(MAX_PES) {
+        let slots = &report.slots[..report.slots.len().min(MAX_PES)];
+        for (slot, w) in slots.iter().enumerate() {
             let t = &mut s.pes[slot];
             t.busy_cycles += w.busy_cycles;
             t.stall_cycles += w.stall_cycles;
             t.bytes_in += w.bytes_in;
             t.bytes_out += w.bytes_out;
-            if frames == 0 {
-                continue;
-            }
-            t.fifo_high_water = t.fifo_high_water.max(w.fifo_high_water);
-            let name = s.names[slot].unwrap_or("?");
-            let slot = slot as u8;
-            if w.is_active() {
-                s.ring.push(
-                    start,
-                    EventKind::PeWindow {
-                        slot,
-                        name,
-                        frames,
-                        busy_cycles: w.busy_cycles,
-                        stall_cycles: w.stall_cycles,
-                        bytes_in: w.bytes_in,
-                        bytes_out: w.bytes_out,
-                    },
-                );
+            if report.frames != 0 {
+                t.fifo_high_water = t.fifo_high_water.max(w.fifo_high_water);
                 if w.busy_cycles != 0 {
-                    s.latency.pe_service[slot as usize]
+                    s.latency.pe_service[slot]
                         .get_or_insert_with(LogHistogram::new)
                         .record(w.service_ns);
                 }
             }
-            if w.fifo_high_water != 0 {
-                let peak = w.fifo_high_water as u32;
-                s.ring.push(end, EventKind::FifoWindow { slot, name, peak });
-            }
-            let milliwatts = w.milliwatts;
-            s.ring.push(
-                end,
-                EventKind::PowerSample {
-                    slot,
-                    name,
-                    milliwatts,
-                },
-            );
         }
-        if frames > 0 {
-            s.ring.push(
-                start,
-                EventKind::NocWindow {
-                    frames,
-                    bytes: noc_bytes,
-                    transfers: noc_transfers,
-                },
-            );
-            let bytes = report.radio_bytes;
-            s.ring.push(start, EventKind::RadioWindow { frames, bytes });
+        if report.frames == 0 {
+            return;
         }
+        let record = WindowRecord {
+            report: WindowReport {
+                slots: slots.to_vec(),
+                links: report.links.clone(),
+                frame_latency_ns: Vec::new(),
+                ..*report
+            },
+            names: s.names[..slots.len()]
+                .iter()
+                .map(|name| name.unwrap_or("?"))
+                .collect(),
+        };
+        s.ring
+            .push(report.start, EventKind::Window(Box::new(record)));
     }
 
     fn controller(&self, cycles: u64, instructions: u64) {
@@ -444,12 +425,11 @@ impl TelemetrySink for Recorder {
     fn event(&self, event: Event) {
         let mut s = self.state();
         match event.kind {
-            // Markers announce pipeline (re)configuration; subsequent
-            // frame-latency samples are attributed to this label.
-            EventKind::Marker { name } => s.latency.current = name,
-            EventKind::SwitchProgram { words, .. } => {
+            EventKind::Marker { name } => s.active_pipeline = name,
+            EventKind::SwitchProgram { words, generation } => {
                 s.switch_programs += 1;
                 s.switch_words += u64::from(words);
+                s.fabric_generation = generation;
             }
             EventKind::Stim { .. } => s.stim_pulses += 1,
             _ => {}
@@ -529,39 +509,27 @@ mod tests {
     }
 
     #[test]
-    fn window_events_follow_slot_order_under_declared_names() {
+    fn a_window_with_frames_is_one_entry_under_its_declared_names() {
         let rec = Recorder::new(64);
         rec.declare_pe(0, "LZ");
         let mut lz = busy(10);
         lz.fifo_high_water = 4;
-        rec.window(&report(30, 30, vec![lz, SlotWindow::default()]));
-        let kinds: Vec<(u64, &str, &str)> = rec
-            .events()
-            .iter()
-            .map(|e| {
-                let (kind, name) = match e.kind {
-                    EventKind::PeWindow { name, .. } => ("pe", name),
-                    EventKind::FifoWindow { name, .. } => ("fifo", name),
-                    EventKind::PowerSample { name, .. } => ("power", name),
-                    EventKind::NocWindow { .. } => ("noc", ""),
-                    EventKind::RadioWindow { .. } => ("radio", ""),
-                    _ => ("other", ""),
-                };
-                (e.frame, kind, name)
-            })
-            .collect();
+        let mut window = report(30, 30, vec![lz, SlotWindow::default()]);
+        window.frame_latency_ns = vec![1_000; 30];
+        rec.window(&window);
+        // A later declaration does not rename the closed window.
+        rec.declare_pe(0, "RC");
+        let events = rec.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].frame, 30);
+        let EventKind::Window(record) = &events[0].kind else {
+            panic!("{:?}", events[0].kind);
+        };
         // Slot 1 was never declared.
-        assert_eq!(
-            kinds,
-            [
-                (30, "pe", "LZ"),
-                (30, "noc", ""),
-                (30, "radio", ""),
-                (60, "fifo", "LZ"),
-                (60, "power", "LZ"),
-                (60, "power", "?")
-            ]
-        );
+        assert_eq!(record.names, ["LZ", "?"]);
+        assert!(record.report.frame_latency_ns.is_empty());
+        window.frame_latency_ns.clear();
+        assert_eq!(record.report, window);
     }
 
     #[test]
@@ -599,6 +567,13 @@ mod tests {
         rec.declare_pe(200, "X");
         let snap = rec.snapshot();
         assert!(snap.pes.iter().all(|p| p.busy_cycles == 0));
+        let EventKind::Window(record) = &rec.events()[0].kind else {
+            panic!("the window is the only entry");
+        };
+        assert_eq!(
+            (record.report.slots.len(), record.names.len()),
+            (MAX_PES, MAX_PES)
+        );
     }
 
     #[test]

@@ -28,44 +28,14 @@ impl Severity {
 /// Discriminated payload of a timeline [`Event`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
-    /// Aggregated activity of one PE over a sampling window.
-    PeWindow {
-        slot: u8,
-        name: &'static str,
-        /// Window length in sample frames.
-        frames: u32,
-        busy_cycles: u64,
-        stall_cycles: u64,
-        bytes_in: u64,
-        bytes_out: u64,
-    },
-    /// Aggregated NoC traffic over a sampling window.
-    NocWindow {
-        /// Window length in sample frames.
-        frames: u32,
-        bytes: u64,
-        transfers: u64,
-    },
-    /// Modeled power of one clock domain at this instant, in milliwatts.
-    PowerSample {
-        slot: u8,
-        name: &'static str,
-        milliwatts: f64,
-    },
+    /// One closed sampling window with frames in it, stamped at its start
+    /// frame. Boxed so the window's slots and links do not grow every
+    /// event in the ring.
+    Window(Box<WindowRecord>),
     /// The controller reprogrammed the fabric switches. `generation` is the
     /// fabric's configuration generation after the program completed, so a
     /// post-mortem can say exactly which routing epoch was live.
     SwitchProgram { words: u32, generation: u64 },
-    /// One PE's output FIFO at the close of a sampling window: `peak` is
-    /// the FIFO's all-time high-water mark in tokens.
-    FifoWindow {
-        slot: u8,
-        name: &'static str,
-        peak: u32,
-    },
-    /// Radio traffic over a sampling window: `bytes` handed to the radio
-    /// across `frames` sample frames.
-    RadioWindow { frames: u32, bytes: u64 },
     /// A closed-loop response completed: a detection at `detect_frame` was
     /// answered by stimulation `latency_frames` sample frames later
     /// (controller decision + command path, converted to frames).
@@ -186,6 +156,26 @@ impl WindowReport {
     pub(crate) fn milliwatts(&self) -> f64 {
         self.slots.iter().fold(0.0, |mw, slot| mw + slot.milliwatts)
     }
+
+    /// `(bytes, transfers)` summed over the window's links.
+    pub(crate) fn noc(&self) -> (u64, u64) {
+        self.links
+            .iter()
+            .fold((0, 0), |(b, t), l| (b + l.bytes, t + l.transfers))
+    }
+}
+
+/// A closed window as the recorder's ring keeps it: the [`WindowReport`]
+/// without its frame-latency samples, which the recorder folds into
+/// histograms instead, and each slot's PE name as declared when the
+/// window closed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRecord {
+    /// The window; `frame_latency_ns` is always empty.
+    pub report: WindowReport,
+    /// Each slot's declared name, indexed like `report.slots`; `"?"` for
+    /// a slot never declared.
+    pub names: Vec<&'static str>,
 }
 
 /// Passive receiver for simulator instrumentation.

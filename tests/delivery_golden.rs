@@ -119,7 +119,7 @@ const GOLDEN: [(Task, [u64; 4]); 8] = [
         Task::SpikeDetectNeo,
         [
             0x833ee3a02cf6ef22,
-            0x9125456df8f18bbb,
+            0x5510777dd77e1711,
             0x583c0071dafc7780,
             0x833ee3a02cf6ef22,
         ],

@@ -170,44 +170,44 @@ const CAMPAIGN_GOLDEN: [(u64, u64, [Option<u64>; 16]); 2] = [
         0x000F_1EE7,
         0x4752_66b0_ae8f_ac02,
         [
-            Some(0x3f86_86cc_32e0_34a9),
-            Some(0x56fe_e89b_ea8f_6dcd),
-            Some(0xa298_e967_a9dc_7887),
-            Some(0xbb91_690e_4c99_4b16),
-            Some(0xbfcc_480b_24bd_6802),
-            Some(0x66c1_744c_10f6_a6e0),
-            Some(0x7516_7e3b_57d7_77d5),
-            Some(0x5104_0909_b164_97e1),
-            Some(0x7f41_0173_7837_0301),
-            Some(0x4230_e694_44bb_3d7a),
-            Some(0x8792_925f_79af_c785),
-            Some(0x8a55_de07_55cc_b61e),
-            Some(0xac61_c6d3_d857_6e0b),
-            Some(0xd1b9_c568_c544_a200),
-            Some(0x40e4_430e_5abe_5332),
-            Some(0x5e1c_94f7_a51f_843c),
+            Some(0x71a8_fa77_a681_84c2),
+            Some(0x1017_9886_2842_426d),
+            Some(0x497b_97ca_dabc_5ef4),
+            Some(0x5415_73a5_f421_b55b),
+            Some(0x2805_05ee_d67c_7620),
+            Some(0x3995_92cd_9068_4e50),
+            Some(0xe32b_93ce_3ddb_667d),
+            Some(0x53cc_e040_52e4_98d6),
+            Some(0xccfe_51b3_f87b_b0a8),
+            Some(0x2e5b_3b69_008c_b00a),
+            Some(0x2d30_a717_5d58_57da),
+            Some(0x9c77_f2ed_f99b_da77),
+            Some(0xd38b_8ac6_673e_0265),
+            Some(0x0ea2_3430_842a_3003),
+            Some(0x3fbe_c458_d942_59c4),
+            Some(0x45d5_1ed3_6c1d_b190),
         ],
     ),
     (
         7,
         0xdb24_a660_981c_700a,
         [
-            Some(0xd5ee_610f_a5fe_306e),
-            Some(0x64d4_3d16_8d55_f89d),
-            Some(0x0fe2_e3ee_edcc_969d),
-            Some(0xaa52_c71a_3280_5f74),
-            Some(0x6e30_1aa2_0e56_c3d2),
-            Some(0x5526_8db2_6ff3_41f8),
-            Some(0x5fdb_d7f0_7861_bd30),
-            Some(0xeaf9_a086_c37e_bf7b),
-            Some(0xb57a_bca1_f95c_26de),
-            Some(0x4e27_4e71_87a5_a2cd),
-            Some(0xb16a_d807_0c49_85e7),
-            Some(0x35cb_1dcb_2fba_a686),
-            Some(0x0539_8084_f48d_4712),
-            Some(0xeceb_2b0b_fd68_9148),
-            Some(0xc8c5_fe92_1c30_0e4a),
-            Some(0xb07f_f214_86d1_2cfc),
+            Some(0x8ca6_6eda_64da_dae1),
+            Some(0x0cf6_6dd4_4f48_24e3),
+            Some(0x32a8_f312_07d2_edae),
+            Some(0x42f3_e9b2_daa8_18a4),
+            Some(0x7171_be76_1dad_da08),
+            Some(0xedb1_82d4_6aea_a053),
+            Some(0xe5b1_c55e_6133_dbb6),
+            Some(0x1e35_db12_15d8_862f),
+            Some(0x92ea_ccba_37db_366d),
+            Some(0x32b8_90c3_8e5a_5f2c),
+            Some(0x7fbf_edef_2a80_7618),
+            Some(0xae4f_95aa_6c42_b6be),
+            Some(0x460e_848a_ab86_41e2),
+            Some(0xc631_5304_7709_d181),
+            Some(0xd635_7dee_85cf_466a),
+            Some(0x96b8_4a23_b5aa_e9cb),
         ],
     ),
 ];
@@ -285,7 +285,7 @@ fn runtime_error_postmortem_carries_counters_up_to_the_failing_frame() {
 
 /// Pinned FNV-1a of the post-mortem two rogue MMIO words at one frame
 /// latch.
-const TWO_ROGUE_WORDS_POSTMORTEM: u64 = 0x0416_8cf9_2533_6c0d;
+const TWO_ROGUE_WORDS_POSTMORTEM: u64 = 0x94b2_b051_76c6_b250;
 
 /// Two faults due at the same frame are both applied and both reported
 /// before the first error reaches the flight recorder, so the latched

@@ -2,17 +2,20 @@
 //! `json::validate`, `TraceLog::read` (and `Checkpoint::read` through it)
 //! and `CycleProfile::from_json` return `Ok`/`Some` or `Err`/`None` on
 //! anything, never panic or overflow the stack, and reject integers too
-//! wide for their field instead of truncating them. The fabric's MMIO
-//! switch-word decoder gets the same treatment: any 32-bit word either
-//! loads a route that re-encodes to it or fails with a typed error.
+//! wide for their field instead of truncating them. Any checkpoint text
+//! that reads also restores to a system or a typed `ReplayError`. The
+//! fabric's MMIO switch-word decoder gets the same treatment: any 32-bit
+//! word either loads a route that re-encodes to it or fails with a typed
+//! error.
 //!
 //! Mutations are drawn from the workspace's deterministic [`SimRng`], so
 //! every run explores the same inputs and a failure reproduces exactly.
 
+use std::collections::BTreeMap;
 use std::panic::catch_unwind;
 
 use halo::core::tasks::movement;
-use halo::core::trace::capture;
+use halo::core::trace::{capture, ReplayError};
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::faults::Checkpoint;
 use halo::noc::{Fabric, FabricError};
@@ -94,6 +97,64 @@ fn truncated_and_corrupted_trace_logs_never_panic() {
             );
         }
     }
+}
+
+/// A checkpoint of 48 frames of two-channel LZ4 with 64-byte blocks, as
+/// `Checkpoint::write` serializes it, and the configuration it restores
+/// under. Its sample, radio and switch-word payloads are all short.
+fn captured_checkpoint() -> (HaloConfig, String) {
+    let config = HaloConfig::small_test(2).block_bytes(64);
+    let rec = RecordingConfig::new(RegionProfile::arm())
+        .channels(2)
+        .samples(48)
+        .generate(3);
+    let mut sys = HaloSystem::new(Task::CompressLz4, config.clone()).unwrap();
+    sys.push_block(rec.samples()).unwrap();
+    let ckpt = Checkpoint::snapshot(&sys, rec.samples());
+    assert!(!ckpt.log().radio.is_empty() && !ckpt.log().switch_words.is_empty());
+    assert!(ckpt.restore(config.clone(), true).is_ok());
+    (config, ckpt.write())
+}
+
+/// 2,000 SimRng truncations and single-byte substitutions of a captured
+/// checkpoint: every text `Checkpoint::read` accepts restores to `Ok` or
+/// a typed `ReplayError`, and none panics.
+#[test]
+fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
+    let (config, text) = captured_checkpoint();
+    assert!(text.is_ascii(), "every cut is a char boundary");
+    let mut rng = SimRng::new(0xc4ec_4901);
+    let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
+    for case in 0..2000 {
+        let cut = rng.range_usize(0, text.len());
+        let at = rng.range_usize(0, text.len());
+        let byte = rng.range_u64(0, 0x80) as u8;
+        let mut bytes = text.clone().into_bytes();
+        bytes[at] = byte;
+        let corrupted = String::from_utf8(bytes).unwrap();
+        for input in [&text[..cut], corrupted.as_str()] {
+            let outcome = catch_unwind(|| {
+                let ckpt = Checkpoint::read(input).ok()?;
+                Some(match ckpt.restore(config.clone(), true) {
+                    Ok(_) => "restored",
+                    Err(ReplayError::UnknownTask(_)) => "unknown task",
+                    Err(ReplayError::ConfigMismatch { .. }) => "config mismatch",
+                    Err(ReplayError::FabricMismatch { .. }) => "fabric mismatch",
+                    Err(ReplayError::System(_)) => "system",
+                    Err(ReplayError::Diverged { .. }) => "diverged",
+                })
+            });
+            let outcome = outcome.unwrap_or_else(|_| {
+                panic!("case {case}: panicked (cut at {cut}, byte {byte:#04x} at {at})")
+            });
+            *outcomes.entry(outcome.unwrap_or("unread")).or_default() += 1;
+        }
+    }
+    // Not vacuous: mutations reach restore and are refused there.
+    for seen in ["restored", "diverged", "unread"] {
+        assert!(outcomes.contains_key(seen), "{outcomes:?}");
+    }
+    assert!(outcomes.len() >= 5, "{outcomes:?}");
 }
 
 /// `value` plus 2^32: an `as u32` cast would read it back as `value`.

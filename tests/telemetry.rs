@@ -161,10 +161,7 @@ fn event_ring_respects_bound() {
     assert!(events.windows(2).all(|w| w[0].frame <= w[1].frame));
     assert!(events
         .iter()
-        .any(|e| matches!(e.kind, EventKind::PeWindow { .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::PowerSample { .. })));
+        .any(|e| matches!(e.kind, EventKind::Window(_))));
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::Detection { positive: true })));

@@ -94,14 +94,14 @@ fn run(task: Task) -> Run {
 /// Digest per task. The continuous exposition carries the tsdb and SLO
 /// families, and each tsdb series snapshots its raw ring only.
 const GOLDEN: [(Task, u64); 8] = [
-    (Task::SpikeDetectNeo, 0xeb39cc983deedf2c),
-    (Task::SpikeDetectDwt, 0x554fb6e462efb371),
-    (Task::CompressLz4, 0xb60511ba535cf3b8),
-    (Task::CompressLzma, 0xcd433cf4995d3fa0),
-    (Task::CompressDwtma, 0x96576ad7c234a8fc),
-    (Task::MovementIntent, 0x734fa63c4708b773),
-    (Task::SeizurePrediction, 0xdebfe0e4fcd31d61),
-    (Task::EncryptRaw, 0xabef1b20370e4483),
+    (Task::SpikeDetectNeo, 0xd2ce048f24a379e8),
+    (Task::SpikeDetectDwt, 0x3839d26d8a5bd061),
+    (Task::CompressLz4, 0x0562da925f006a7e),
+    (Task::CompressLzma, 0xa9b771eaaf1091a1),
+    (Task::CompressDwtma, 0x4a9ce62eb3d1d00c),
+    (Task::MovementIntent, 0x92891956fd1c0f7d),
+    (Task::SeizurePrediction, 0xd3f09d1eeccb7ebd),
+    (Task::EncryptRaw, 0x07bec8b047875bee),
 ];
 
 #[test]

@@ -245,6 +245,22 @@ fn reconfigure_closes_the_retiring_runtimes_window() {
         let want = lz4.get(slot).copied().unwrap_or(0) + neo.get(slot).map_or(0, |t| t.busy_cycles);
         assert_eq!(pe.busy_cycles, want, "slot {slot}");
     }
+    // The retiring window keeps the LZ4 names it closed under, although
+    // NEO has since redeclared the slots.
+    let retired = recorder
+        .events()
+        .into_iter()
+        .find_map(|e| match e.kind {
+            EventKind::Window(w) if w.report.end() == 1000 => Some(w),
+            _ => None,
+        })
+        .expect("the LZ4 window closed at the switch");
+    assert_eq!(retired.names, ["INTERLEAVER", "LZ", "LIC"]);
+    assert_eq!(snap.active_pipeline, Task::SpikeDetectNeo.label());
+    assert!(snap
+        .pes
+        .iter()
+        .all(|pe| !["INTERLEAVER", "LZ", "LIC"].contains(&pe.name)));
 }
 
 /// The stream's last power window is judged before the run returns: a
