@@ -43,23 +43,17 @@ pub mod fig9;
 pub mod table1;
 pub mod table3;
 pub mod table4;
-pub mod timing;
 pub mod trace;
 
-/// Resolves a bench artifact path against the workspace root.
-///
-/// `cargo bench` runs benchmark binaries with the *package* directory as
-/// CWD, so a relative `--json BENCH_runtime.json` would land in
-/// `crates/bench/` instead of the repository root where CI and the docs
-/// expect it. Absolute paths pass through untouched.
+/// `path` under the workspace root, where the committed
+/// `BENCH_telemetry.json` lives: unit tests run with the package directory
+/// as CWD, and `experiments` may be started from anywhere. Host speed is
+/// not measured here; the benchmark package (`benchmark run|trace|compare`)
+/// does that and writes under `target/benchmark/`.
 pub fn workspace_path(path: &str) -> std::path::PathBuf {
-    let p = std::path::Path::new(path);
-    if p.is_absolute() {
-        return p.to_path_buf();
-    }
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(p)
+        .join(path)
 }
 
 /// The nominal processing rate of the paper's design point, bytes/second.

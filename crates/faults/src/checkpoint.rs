@@ -7,7 +7,9 @@
 //! system through [`trace::rebuild`], the same checks a replay makes,
 //! re-drives the prefix, and proves byte-identity of every output before
 //! handing the system back — the resumed run is indistinguishable from
-//! one that never died.
+//! one that never died. Samples whose outputs had not left the fabric at
+//! snapshot time prove nothing on replay; the trace log's samples digest,
+//! checked by [`Checkpoint::read`], covers them.
 //!
 //! A fault injected through [`HaloSystem::inject_faults`] fires before
 //! the next frame's samples are ingested, so a poisoned system's outputs
@@ -65,7 +67,8 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns the trace-log parser's message on malformed input.
+    /// Returns the trace-log parser's message on malformed input,
+    /// including samples that do not match the digest written with them.
     pub fn read(text: &str) -> Result<Self, String> {
         Ok(Self {
             log: TraceLog::read(text)?,

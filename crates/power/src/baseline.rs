@@ -4,7 +4,7 @@
 use crate::model::PePower;
 use crate::table::{controller_anchor, pe_anchor};
 use halo_pe::PeKind;
-use halo_riscv::multicore::CORE_SWEEP;
+use halo_riscv::CORE_SWEEP;
 
 /// A feasible software design point.
 #[derive(Debug, Clone, Copy, PartialEq)]

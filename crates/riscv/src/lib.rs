@@ -18,9 +18,15 @@
 //! * a memory-mapped I/O bus so controller programs can poke interconnect
 //!   switches and stimulation registers,
 //! * a label-aware [`asm::Asm`] mini-assembler for writing controller
-//!   firmware in tests and experiments,
-//! * [`multicore::MulticoreArray`] for the 1–64-core software-baseline
-//!   sweep.
+//!   firmware in tests and experiments.
+//!
+//! Figure 4's all-software baseline is analytic: `halo-power` prices the
+//! task on each core count of [`CORE_SWEEP`] from the cores' clock and
+//! voltage, without running an array of simulated cores. The host cost
+//! of the firmware this crate runs is measured by the benchmark package
+//! (`benchmark trace`: `controller.program_switches_us`,
+//! `controller.stimulate_us`, `controller.cycles_per_stim`); the
+//! interpreter's raw instruction rate is not timed.
 //!
 //! # Example
 //!
@@ -48,9 +54,11 @@ pub mod bus;
 pub mod cpu;
 pub mod decode;
 pub mod exec;
-pub mod multicore;
 
 pub use bus::{Memory, MmioDevice, SystemBus};
 pub use cpu::{Cpu, CpuError, HaltReason, RegisterMode, RunResult};
 pub use decode::Instr;
-pub use multicore::MulticoreArray;
+
+/// Core counts of the paper's all-software sweep (Figure 4: "1–64 RISC-V
+/// core counts, in powers of two").
+pub const CORE_SWEEP: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];

@@ -95,7 +95,7 @@ pub use health::{
     AlertKind, AlertPolicy, CoalescedAlert, HealthAlert, HealthConfig, HealthMonitor, HealthStatus,
 };
 pub use histogram::{HistogramSummary, LogHistogram};
-pub use profile::{CycleProfile, DiffRow, Phase, ProfileDiff, ProfileRow};
+pub use profile::{CycleProfile, Phase, ProfileRow};
 pub use recorder::{LinkSnapshot, PeSnapshot, PipelineLatency, Recorder, RecorderSnapshot};
 pub use replay::{ReplayReport, StimRecord, TraceLog};
 pub use sink::{

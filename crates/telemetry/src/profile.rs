@@ -21,8 +21,9 @@
 //! clocks: two runs over the same recording produce byte-identical
 //! profiles regardless of host, thread count, or scheduler interleaving.
 //! That makes profiles mergeable (fleet rollups sum frame-for-frame) and
-//! diffable ([`ProfileDiff`] normalizes per frame, so a 10% longer run is
-//! not a 10% regression).
+//! pinnable (a change that moves modelled cost moves a pinned digest).
+//! Host time is not in a profile: the benchmark package measures it layer
+//! by layer (`benchmark trace`) and ranks what moved (`benchmark compare`).
 //!
 //! Export formats:
 //!
@@ -31,8 +32,8 @@
 //!   inferno / speedscope / `flamegraph.pl`.
 //! * [`CycleProfile::render_exposition`] — `halo_profile_*` Prometheus
 //!   families.
-//! * [`ProfileDiff::to_json`] — per-frame-normalized A/B deltas, used by
-//!   the bench regression sentinel to name the regressed frame.
+//! * [`CycleProfile::to_json`] — one flat JSON object, the text whose
+//!   digests `tests/profile.rs` pins.
 
 use crate::expose::{escape_label, Exposition};
 use crate::json;
@@ -193,13 +194,6 @@ impl CycleProfile {
             .map(|r| (r.frame(), r.cycles as f64 / total as f64))
     }
 
-    /// Per-frame cycle share of each frame path: `frame -> cycles`.
-    /// Used by diffing and divergence scoring; rows are already unique by
-    /// frame path so this is a plain projection.
-    pub fn frame_cycles(&self) -> Vec<(String, u64)> {
-        self.rows.iter().map(|r| (r.frame(), r.cycles)).collect()
-    }
-
     /// Collapsed-stack ("folded") flamegraph lines:
     /// `device;pipeline;PE@slot;phase cycles\n`, in canonical order,
     /// zero-cycle rows skipped. inferno / speedscope / `flamegraph.pl`
@@ -272,8 +266,7 @@ impl CycleProfile {
         )
     }
 
-    /// Serialize to a flat JSON object (used by the bench baseline and
-    /// verdict files). Inverse of [`CycleProfile::from_json`].
+    /// Serialize to a flat JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + 96 * self.rows.len());
         out.push_str("{\"device\":");
@@ -294,166 +287,6 @@ impl CycleProfile {
             ));
         }
         out.push_str("]}");
-        out
-    }
-
-    /// Parse a profile serialized by [`CycleProfile::to_json`].
-    pub fn from_json(value: &json::Value) -> Option<CycleProfile> {
-        let device = value.get("device")?.as_str()?.to_string();
-        let frames = value.get("frames")?.as_u64()?;
-        let mut rows = Vec::new();
-        for row in value.get("rows")?.as_array()? {
-            let phase = match row.get("phase")?.as_str()? {
-                "ingest" => Phase::Ingest,
-                "compute" => Phase::Compute,
-                "drain" => Phase::Drain,
-                "quiet-skip" => Phase::QuietSkip,
-                _ => return None,
-            };
-            rows.push(ProfileRow {
-                pipeline: row.get("pipeline")?.as_str()?.to_string(),
-                slot: u8::try_from(row.get("slot")?.as_u64()?).ok()?,
-                pe: row.get("pe")?.as_str()?.to_string(),
-                phase,
-                cycles: row.get("cycles")?.as_u64()?,
-                energy_uj: row.get("energy_uj")?.as_f64()?,
-            });
-        }
-        let mut profile = CycleProfile {
-            device,
-            frames,
-            rows,
-        };
-        profile.sort();
-        Some(profile)
-    }
-}
-
-/// One per-frame-normalized attribution delta between two profiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRow {
-    /// Frame path below the device root (`pipeline;PE@slot;phase`).
-    pub frame: String,
-    /// Baseline cycles per scalar frame.
-    pub base_cpf: f64,
-    /// Fresh cycles per scalar frame.
-    pub fresh_cpf: f64,
-    /// Relative change: `fresh_cpf / base_cpf - 1` (clamped when the
-    /// baseline had no cycles on this frame).
-    pub delta_ratio: f64,
-    /// Absolute per-frame cycle change (`fresh_cpf - base_cpf`).
-    pub delta_cpf: f64,
-}
-
-/// An A/B profile comparison with per-frame normalization: run lengths
-/// cancel out, so only genuine per-frame cost changes surface.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProfileDiff {
-    /// Frames whose per-frame cycles moved by at least `min_ratio`,
-    /// largest absolute per-frame delta first.
-    pub rows: Vec<DiffRow>,
-}
-
-impl ProfileDiff {
-    /// Ratio reported when a frame appears on only one side (a baseline
-    /// of zero cycles makes the true ratio infinite; the clamp keeps the
-    /// JSON finite and the sort sane).
-    pub const NEW_FRAME_RATIO: f64 = 99.99;
-
-    /// Diff `fresh` against `base`, keeping frames whose per-frame cycle
-    /// cost moved by at least `min_ratio` (e.g. `0.02` = 2%). Both sides
-    /// are normalized by their own frame count before comparing.
-    pub fn between(base: &CycleProfile, fresh: &CycleProfile, min_ratio: f64) -> ProfileDiff {
-        let base_frames = base.frames.max(1) as f64;
-        let fresh_frames = fresh.frames.max(1) as f64;
-        let base_cycles = base.frame_cycles();
-        let fresh_cycles = fresh.frame_cycles();
-        let mut frames: Vec<&String> = base_cycles
-            .iter()
-            .chain(fresh_cycles.iter())
-            .map(|(f, _)| f)
-            .collect();
-        frames.sort();
-        frames.dedup();
-        let lookup = |set: &[(String, u64)], frame: &str| -> u64 {
-            set.iter()
-                .find(|(f, _)| f == frame)
-                .map(|(_, c)| *c)
-                .unwrap_or(0)
-        };
-        let mut rows = Vec::new();
-        for frame in frames {
-            let base_cpf = lookup(&base_cycles, frame) as f64 / base_frames;
-            let fresh_cpf = lookup(&fresh_cycles, frame) as f64 / fresh_frames;
-            let delta_cpf = fresh_cpf - base_cpf;
-            let delta_ratio = if base_cpf > 0.0 {
-                fresh_cpf / base_cpf - 1.0
-            } else if fresh_cpf > 0.0 {
-                Self::NEW_FRAME_RATIO
-            } else {
-                0.0
-            };
-            if delta_ratio.abs() >= min_ratio {
-                rows.push(DiffRow {
-                    frame: frame.clone(),
-                    base_cpf,
-                    fresh_cpf,
-                    delta_ratio,
-                    delta_cpf,
-                });
-            }
-        }
-        rows.sort_by(|a, b| {
-            b.delta_cpf
-                .abs()
-                .partial_cmp(&a.delta_cpf.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.frame.cmp(&b.frame))
-        });
-        ProfileDiff { rows }
-    }
-
-    /// True when no frame moved past the threshold.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The top-`k` rows as human-readable annotation lines, e.g.
-    /// `"Compress(Lzma);RC@3;drain +38.0% self cycles (12.4 -> 17.1 c/f)"`.
-    pub fn annotate(&self, k: usize) -> Vec<String> {
-        self.rows
-            .iter()
-            .take(k)
-            .map(|r| {
-                format!(
-                    "{} {}{:.1}% self cycles ({:.1} -> {:.1} c/f)",
-                    r.frame,
-                    if r.delta_ratio >= 0.0 { "+" } else { "" },
-                    100.0 * r.delta_ratio,
-                    r.base_cpf,
-                    r.fresh_cpf
-                )
-            })
-            .collect()
-    }
-
-    /// The diff as a JSON array, largest per-frame delta first.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"frame\":{},\"base_cycles_per_frame\":{},\"fresh_cycles_per_frame\":{},\"delta_ratio\":{},\"delta_cycles_per_frame\":{}}}",
-                json::string(&row.frame),
-                json::number(row.base_cpf),
-                json::number(row.fresh_cpf),
-                json::number(row.delta_ratio),
-                json::number(row.delta_cpf),
-            ));
-        }
-        out.push(']');
         out
     }
 }
@@ -511,64 +344,6 @@ mod tests {
         let (frame, share) = fleet.dominant_frame().unwrap();
         assert_eq!(frame, "Compress(Lzma);LZ@0;compute");
         assert!((share - 2000.0 / 3700.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let p = sample();
-        let text = p.to_json();
-        let value = json::parse(&text).expect("profile json parses");
-        let back = CycleProfile::from_json(&value).expect("profile json loads");
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn diff_normalizes_per_frame_and_names_the_regressed_frame() {
-        let base = sample();
-        let mut fresh = sample();
-        // Twice the frames at the same per-frame cost, except RC drain
-        // got 40% slower per frame.
-        fresh.frames = 200;
-        for row in &mut fresh.rows {
-            row.cycles *= 2;
-            if row.pe == "RC" && row.phase == Phase::Drain {
-                row.cycles = (row.cycles as f64 * 1.4) as u64;
-            }
-        }
-        let diff = ProfileDiff::between(&base, &fresh, 0.02);
-        assert_eq!(diff.rows.len(), 1, "only the slowed frame moves: {diff:?}");
-        assert_eq!(diff.rows[0].frame, "Compress(Lzma);RC@3;drain");
-        assert!((diff.rows[0].delta_ratio - 0.4).abs() < 1e-9);
-        let note = &diff.annotate(1)[0];
-        assert!(note.contains("RC@3;drain"), "{note}");
-        assert!(note.contains("+40.0%"), "{note}");
-        json::parse(&diff.to_json()).expect("diff json parses");
-    }
-
-    #[test]
-    fn identical_profiles_diff_empty_even_across_run_lengths() {
-        let base = sample();
-        let mut fresh = sample();
-        fresh.frames = 300;
-        for row in &mut fresh.rows {
-            row.cycles *= 3;
-        }
-        assert!(ProfileDiff::between(&base, &fresh, 0.02).is_empty());
-    }
-
-    #[test]
-    fn frame_only_on_one_side_gets_the_clamped_ratio() {
-        let base = sample();
-        let mut fresh = sample();
-        fresh.add(row("Compress(Lzma)", 7, "AES", Phase::Compute, 5_000));
-        let diff = ProfileDiff::between(&base, &fresh, 0.02);
-        let added = diff
-            .rows
-            .iter()
-            .find(|r| r.frame.contains("AES"))
-            .expect("new frame surfaces");
-        assert_eq!(added.delta_ratio, ProfileDiff::NEW_FRAME_RATIO);
-        assert_eq!(added.base_cpf, 0.0);
     }
 
     #[test]

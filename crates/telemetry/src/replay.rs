@@ -6,7 +6,9 @@
 //! commands). [`TraceLog::write`] emits hand-rolled JSON with hex-encoded
 //! byte payloads — the same document always serializes to the same bytes,
 //! so logs can be diffed and checksummed — and [`TraceLog::read`] parses it
-//! back via [`crate::json::parse`].
+//! back via [`crate::json::parse`]. The samples travel with their FNV-1a
+//! digest (`samples_fnv`): a replay only proves the samples that already
+//! produced an output, so `read` refuses samples altered after that point.
 //!
 //! The simulator side (`halo-core`) re-drives the captured samples and
 //! fabric programming through a fresh runtime; [`verify`] then compares
@@ -52,8 +54,15 @@ pub struct TraceLog {
     pub stim: Vec<StimRecord>,
 }
 
-/// Format version written into every log.
-pub const TRACE_LOG_VERSION: u64 = 1;
+/// Format version written into every log (2 added `samples_fnv`).
+pub const TRACE_LOG_VERSION: u64 = 2;
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 fn hex_of_bytes(bytes: &[u8]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -99,6 +108,14 @@ fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
     u32::try_from(field_u64(v, key)?).map_err(|_| format!("field {key:?} does not fit in 32 bits"))
 }
 
+/// A u64 written as a hex string (a JSON f64 number loses bits above 2^53).
+fn field_hex_u64(v: &Value, key: &str) -> Result<u64, String> {
+    let text = field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("{key} is not a string"))?;
+    u64::from_str_radix(text, 16).map_err(|e| format!("bad {key}: {e}"))
+}
+
 impl TraceLog {
     /// Serializes to binary-stable JSON (same log ⇒ same bytes).
     pub fn write(&self) -> String {
@@ -122,7 +139,10 @@ impl TraceLog {
         }
         out.push_str("],\"samples\":\"");
         out.push_str(&hex_of_bytes(&sample_bytes));
-        out.push_str("\",\"radio\":\"");
+        out.push_str(&format!(
+            "\",\"samples_fnv\":\"{:016x}\",\"radio\":\"",
+            fnv1a(&sample_bytes)
+        ));
         out.push_str(&hex_of_bytes(&self.radio));
         out.push_str("\",\"mcu_flags\":[");
         for (i, (frame, flag)) in self.mcu_flags.iter().enumerate() {
@@ -158,13 +178,7 @@ impl TraceLog {
             .as_str()
             .ok_or("task is not a string")?
             .to_string();
-        let config_fingerprint = u64::from_str_radix(
-            field(&doc, "config_fingerprint")?
-                .as_str()
-                .ok_or("config_fingerprint is not a string")?,
-            16,
-        )
-        .map_err(|e| format!("bad config_fingerprint: {e}"))?;
+        let config_fingerprint = field_hex_u64(&doc, "config_fingerprint")?;
         let channels = field_u32(&doc, "channels")?;
         let sample_rate_hz = field_u32(&doc, "sample_rate_hz")?;
         let switch_words = field(&doc, "switch_words")?
@@ -182,6 +196,13 @@ impl TraceLog {
             bytes_of_hex(field(&doc, "samples")?.as_str().ok_or("samples not hex")?)?;
         if !sample_bytes.len().is_multiple_of(2) {
             return Err("samples payload is not i16-aligned".to_string());
+        }
+        let samples_fnv = field_hex_u64(&doc, "samples_fnv")?;
+        let digest = fnv1a(&sample_bytes);
+        if samples_fnv != digest {
+            return Err(format!(
+                "samples_fnv {samples_fnv:016x} does not match the samples ({digest:016x})"
+            ));
         }
         let samples = sample_bytes
             .chunks_exact(2)
@@ -347,9 +368,16 @@ mod tests {
     fn read_rejects_malformed_logs() {
         assert!(TraceLog::read("{}").is_err());
         assert!(TraceLog::read("{\"halo_trace_log\":99}").is_err());
-        let mut text = sample_log().write();
-        text = text.replace("\"radio\":\"00ff7a\"", "\"radio\":\"00ff7\"");
-        assert!(TraceLog::read(&text).is_err());
+        let text = sample_log().write();
+        let odd_radio = text.replace("\"radio\":\"00ff7a\"", "\"radio\":\"00ff7\"");
+        assert!(TraceLog::read(&odd_radio).is_err());
+        // The last sample, 42, is written little-endian as "2a00".
+        let altered = text.replacen("2a00\"", "2b00\"", 1);
+        assert!(TraceLog::read(&altered)
+            .unwrap_err()
+            .starts_with("samples_fnv"));
+        let unsigned = text.replacen("\"samples_fnv\":", "\"samples_digest\":", 1);
+        assert!(TraceLog::read(&unsigned).is_err(), "the digest is required");
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   (see [`crate::slo`]).
 //! * **Window-granular.** The [`HealthMonitor`] feeds the store only the
 //!   readings it already judges at sampling-window cadence (power windows,
-//!   radio windows, closed-loop completions), so the hot
-//!   per-frame path is untouched and the attached overhead stays ≤2%
-//!   (proven by the `continuous_telemetry` A/B section in
-//!   `BENCH_runtime.json`).
+//!   radio windows, closed-loop completions), so the hot per-frame path
+//!   is untouched. The deleted runtime bench's A/B put the store's cost
+//!   over a bare watchdog at 1.3% or less; today its share of host time is
+//!   inside `telemetry.attached_overhead` of
+//!   `benchmark trace --workload fleet-8ch`, beside the profiler's.
 //! * **Deterministic.** Identical event streams produce byte-identical
 //!   [`Tsdb::snapshot_json`] dumps at any thread count — series are fixed
 //!   at construction and iterated in declaration order, and the JSON is

@@ -1,9 +1,10 @@
 //! Hostile input against the readers of untrusted text: `json::parse`,
-//! `json::validate`, `TraceLog::read` (and `Checkpoint::read` through it)
-//! and `CycleProfile::from_json` return `Ok`/`Some` or `Err`/`None` on
-//! anything, never panic or overflow the stack, and reject integers too
-//! wide for their field instead of truncating them. Any checkpoint text
-//! that reads also restores to a system or a typed `ReplayError`. The
+//! `json::validate` and `TraceLog::read` (and `Checkpoint::read` through
+//! it) return `Ok` or `Err` on anything, never panic or overflow the
+//! stack, and reject integers too wide for their field instead of
+//! truncating them. Any checkpoint text that reads also restores to a
+//! system or a typed `ReplayError`, and restores only with the samples it
+//! was written with. The
 //! fabric's MMIO switch-word decoder gets the same treatment: any 32-bit
 //! word either loads a route that re-encodes to it or fails with a typed
 //! error.
@@ -20,7 +21,7 @@ use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::faults::Checkpoint;
 use halo::noc::{Fabric, FabricError};
 use halo::signal::{RecordingConfig, RegionProfile, SimRng};
-use halo::telemetry::{json, CycleProfile, TraceLog};
+use halo::telemetry::{json, TraceLog};
 
 /// Far deeper than any stack holds one recursion level per bracket.
 const HOSTILE_DEPTH: usize = 100_000;
@@ -36,7 +37,7 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
     assert!(json::parse(&objects).is_err());
     for log in [
         deep.clone(),
-        format!("{{\"halo_trace_log\":1,\"switch_words\":{deep}"),
+        format!("{{\"halo_trace_log\":2,\"switch_words\":{deep}"),
     ] {
         let err = TraceLog::read(&log).unwrap_err();
         assert!(err.starts_with("nesting deeper than"), "{err}");
@@ -118,11 +119,13 @@ fn captured_checkpoint() -> (HaloConfig, String) {
 
 /// 2,000 SimRng truncations and single-byte substitutions of a captured
 /// checkpoint: every text `Checkpoint::read` accepts restores to `Ok` or
-/// a typed `ReplayError`, and none panics.
+/// a typed `ReplayError`, none panics, and every text that restores
+/// carries the original samples.
 #[test]
 fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
     let (config, text) = captured_checkpoint();
     assert!(text.is_ascii(), "every cut is a char boundary");
+    let samples = Checkpoint::read(&text).unwrap().log().samples.clone();
     let mut rng = SimRng::new(0xc4ec_4901);
     let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
     for case in 0..2000 {
@@ -136,6 +139,7 @@ fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
             let outcome = catch_unwind(|| {
                 let ckpt = Checkpoint::read(input).ok()?;
                 Some(match ckpt.restore(config.clone(), true) {
+                    Ok(_) if ckpt.log().samples != samples => "restored altered samples",
                     Ok(_) => "restored",
                     Err(ReplayError::UnknownTask(_)) => "unknown task",
                     Err(ReplayError::ConfigMismatch { .. }) => "config mismatch",
@@ -155,6 +159,26 @@ fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
         assert!(outcomes.contains_key(seen), "{outcomes:?}");
     }
     assert!(outcomes.len() >= 5, "{outcomes:?}");
+    assert!(
+        !outcomes.contains_key("restored altered samples"),
+        "{outcomes:?}"
+    );
+}
+
+/// The last sample of the captured checkpoint has not reached the radio
+/// stream, so a replay of an altered copy reproduces every output; the
+/// samples digest refuses it at read time.
+#[test]
+fn checkpoint_with_an_altered_last_sample_fails_to_read() {
+    let (_, text) = captured_checkpoint();
+    let start = text.find("\"samples\":\"").unwrap() + "\"samples\":\"".len();
+    let end = start + text[start..].find('"').unwrap();
+    // One hex digit of the last sample's four.
+    let at = end - 4;
+    let digit = u8::from_str_radix(&text[at..=at], 16).unwrap();
+    let altered = format!("{}{:x}{}", &text[..at], digit ^ 0x8, &text[at + 1..]);
+    let err = Checkpoint::read(&altered).unwrap_err();
+    assert!(err.starts_with("samples_fnv"), "{err}");
 }
 
 /// `value` plus 2^32: an `as u32` cast would read it back as `value`.
@@ -182,65 +206,6 @@ fn trace_log_integers_wider_than_their_field_are_errors() {
     let from = format!("\"channels\":{}", log.channels);
     let widest = text.replacen(&from, &format!("\"channels\":{}", u32::MAX), 1);
     assert_eq!(TraceLog::read(&widest).unwrap().channels, u32::MAX);
-}
-
-/// The cycle profile of a short profiled LZ4 run, as `to_json` writes it.
-fn profile_json() -> String {
-    let channels = 4;
-    let rec = RecordingConfig::new(RegionProfile::arm())
-        .channels(channels)
-        .duration_ms(20)
-        .generate(5);
-    let mut sys = HaloSystem::new(Task::CompressLz4, HaloConfig::small_test(channels)).unwrap();
-    sys.attach_profile();
-    sys.process(&rec).unwrap();
-    let profile = sys.profile("0").expect("profiling is attached");
-    assert!(profile.rows.len() > 1, "a multi-PE profile");
-    profile.to_json()
-}
-
-#[test]
-fn profile_slot_wider_than_a_byte_is_rejected() {
-    let text = profile_json();
-    let profile = CycleProfile::from_json(&json::parse(&text).unwrap()).unwrap();
-    let slot = profile.rows[0].slot;
-    let from = format!("\"slot\":{slot}");
-    let read = |to: u64| {
-        let doc = text.replace(&from, &format!("\"slot\":{to}"));
-        CycleProfile::from_json(&json::parse(&doc).unwrap())
-    };
-    // 300 would read back as slot 44 under an `as u8` cast.
-    for to in [256, 300, wrapped_u32(u32::from(slot))] {
-        assert_eq!(read(to), None, "slot {to} must not load");
-    }
-    let widest = read(255).expect("slot 255 fits in a byte");
-    assert!(widest.rows.iter().any(|r| r.slot == 255));
-}
-
-#[test]
-fn truncated_and_corrupted_profiles_never_panic() {
-    let text = profile_json();
-    assert!(text.is_ascii(), "every cut is a char boundary");
-    let mut rng = SimRng::new(0xc1c1_e5ed);
-    for case in 0..2000 {
-        let cut = rng.range_usize(0, text.len());
-        let at = rng.range_usize(0, text.len());
-        let byte = rng.range_u64(0, 0x80) as u8;
-        let mut bytes = text.clone().into_bytes();
-        bytes[at] = byte;
-        let corrupted = String::from_utf8(bytes).unwrap();
-        for input in [&text[..cut], corrupted.as_str()] {
-            let outcome = catch_unwind(|| {
-                if let Ok(value) = json::parse(input) {
-                    let _ = CycleProfile::from_json(&value);
-                }
-            });
-            assert!(
-                outcome.is_ok(),
-                "case {case}: panicked (cut at {cut}, byte {byte:#04x} at {at})"
-            );
-        }
-    }
 }
 
 /// §IV-E: the controller programs routes as 32-bit MMIO words, and

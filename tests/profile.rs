@@ -4,7 +4,7 @@
 
 use halo::core::{HaloConfig, HaloSystem, Task};
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
-use halo::telemetry::{json, CycleProfile, Phase, ProfileDiff};
+use halo::telemetry::{json, CycleProfile, Phase};
 
 const CHANNELS: usize = 8;
 
@@ -22,6 +22,26 @@ fn profiled_run(task: Task, rec: &Recording) -> (HaloSystem, CycleProfile) {
     let profile = sys.profile("dev").expect("profiler attached");
     (sys, profile)
 }
+
+/// FNV-1a over the text, as in `tests/delivery_golden.rs`.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a of each pipeline's `CycleProfile::to_json` at 8 channels,
+/// 100 ms of arm signal, seed 21, device `"bench"`, in `Task::all` order.
+const PROFILE_GOLDEN: [(&str, u64); 8] = [
+    ("SpikeDet(NEO)", 0x23da_a26b_cd69_353c),
+    ("SpikeDet(DWT)", 0x24d1_d42b_7e13_82e5),
+    ("Compr(LZ4)", 0xfbf7_f290_71c2_2fa0),
+    ("Compr(LZMA)", 0xf8d7_b509_2185_eb0c),
+    ("Compr(DWTMA)", 0xde8a_d510_81ec_8b5c),
+    ("MoveIntent", 0xe9af_4f66_f4a7_0865),
+    ("SeizurePred", 0xa4e0_3a5c_5eb0_5738),
+    ("Encrypt(Raw)", 0x6471_a462_f967_01be),
+];
 
 #[test]
 fn armed_profiler_is_accounting_neutral() {
@@ -121,27 +141,36 @@ fn identical_runs_diff_empty_and_profiles_are_deterministic() {
     let rec = recording(60, 14);
     let (_, a) = profiled_run(Task::CompressLzma, &rec);
     let (_, b) = profiled_run(Task::CompressLzma, &rec);
+    assert_eq!(a, b);
     assert_eq!(a.folded(), b.folded());
     assert_eq!(a.to_json(), b.to_json());
     json::parse(&a.to_json()).expect("profile JSON parses");
-    assert!(ProfileDiff::between(&a, &b, 0.001).is_empty());
-    // A run twice as long pays the same per-frame ingest cost: the
-    // diff's normalization must cancel the length difference out of the
-    // steady-state phases. (Drain is a fixed end-of-stream cost and the
-    // adaptive compressor's compute is data-dependent, so those phases
-    // may genuinely move — that is signal, not noise.)
+    // A run twice as long pays the same per-frame ingest cost, so the
+    // steady-state phases agree per frame. (Drain is a fixed end-of-stream
+    // cost and the adaptive compressor's compute is data-dependent, so
+    // those phases may genuinely move — that is signal, not noise.)
     let (_, long) = profiled_run(Task::CompressLzma, &recording(120, 14));
-    let diff = ProfileDiff::between(&a, &long, 0.05);
-    let steady: Vec<&str> = diff
+    let per_frame = |p: &CycleProfile, frame: &str| {
+        p.rows
+            .iter()
+            .find(|r| r.frame() == frame)
+            .map_or(0.0, |r| r.cycles as f64 / p.frames as f64)
+    };
+    let steady: Vec<String> = a
         .rows
         .iter()
-        .map(|r| r.frame.as_str())
+        .chain(&long.rows)
+        .map(|r| r.frame())
         .filter(|f| f.ends_with(";ingest") || f.ends_with(";quiet-skip"))
         .collect();
-    assert!(
-        steady.is_empty(),
-        "run length leaked into steady-state per-frame deltas: {steady:?}"
-    );
+    assert!(!steady.is_empty());
+    for frame in &steady {
+        let (short, long) = (per_frame(&a, frame), per_frame(&long, frame));
+        assert!(
+            (long - short).abs() <= 0.05 * short,
+            "{frame}: run length leaked into cycles per frame ({short} -> {long})"
+        );
+    }
 }
 
 #[test]
@@ -232,35 +261,19 @@ fn profile_armed_mid_stream_equals_one_armed_before_it() {
 
 #[test]
 fn committed_bench_profiles_regenerate_exactly() {
-    // The `profiles` section of BENCH_runtime.json is the modeled
-    // attribution baseline the bench sentinel diffs against. Regenerated
-    // at the runtime bench's setup (`deterministic_profile`: 8 channels,
-    // 100 ms of arm signal, seed 21), every pipeline's profile must match
-    // it exactly.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_runtime.json");
-    let doc = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let baseline = json::parse(&doc).expect("BENCH_runtime.json parses");
-    let entries = baseline
-        .get("profiles")
-        .and_then(|v| v.as_array())
-        .expect("BENCH_runtime.json has a profiles section");
-    assert_eq!(entries.len(), Task::all().len());
+    // The modelled attribution baseline: every pipeline's profile text,
+    // pinned by digest. Moving one modelled cycle or microjoule moves it.
     let rec = recording(100, 21);
-    for (task, entry) in Task::all().into_iter().zip(entries) {
-        assert_eq!(
-            entry.get("task").and_then(|t| t.as_str()),
-            Some(task.label())
-        );
-        let committed = entry
-            .get("profile")
-            .and_then(CycleProfile::from_json)
-            .expect("committed profile parses");
-        let (_, fresh) = profiled_run(task, &rec);
-        assert_eq!(
-            (fresh.frames, &fresh.rows),
-            (committed.frames, &committed.rows),
-            "{}: modeled attribution moved off the committed baseline",
-            task.label()
-        );
-    }
+    let got: Vec<(&str, u64)> = Task::all()
+        .into_iter()
+        .map(|task| {
+            let (sys, _) = profiled_run(task, &rec);
+            let profile = sys.profile("bench").expect("profiler attached");
+            (task.label(), fnv(&profile.to_json()))
+        })
+        .collect();
+    assert_eq!(
+        got, PROFILE_GOLDEN,
+        "modelled attribution moved off the pinned baseline: {got:#x?}"
+    );
 }
