@@ -226,11 +226,6 @@ const NS_PER_RADIO_BYTE: f64 = 8.0e9 / RADIO_CEILING_BPS;
 /// Sentinel slot index for "no node designated" (radio/MCU/probe taps).
 const NO_SLOT: usize = usize::MAX;
 
-/// Whether `pe`'s output FIFO holds data, so a push into it stalls.
-fn occupied(pe: &dyn ProcessingElement) -> bool {
-    !pe.output_fifo().is_empty()
-}
-
 /// Whether two of `targets` name the same slot.
 fn shares_slot(targets: impl Iterator<Item = NodeId> + Clone) -> bool {
     let all = targets.clone();
@@ -342,9 +337,11 @@ pub struct Runtime {
     /// — whenever `fabric.generation()` moves off `route_gen`.
     route_table: Vec<Vec<Route>>,
     route_gen: u64,
-    /// Reusable scratch buffer for [`Runtime::propagate`]'s bulk FIFO
-    /// drain: each drain copies a PE's queued tokens into it, and its
-    /// capacity is kept across bursts, so steady state allocates nothing.
+    /// Scratch queue for [`Runtime::propagate`]'s FIFO drains, empty
+    /// between bursts: each drain swaps a PE's queued tokens into it
+    /// ([`halo_pe::Fifo::drain_into`]), and the emptied buffer goes back to
+    /// that FIFO ([`halo_pe::Fifo::reclaim`]), so steady state copies and
+    /// allocates nothing.
     burst: VecDeque<Token>,
     /// Second scratch queue: copies of a burst for all but the last
     /// consumer of a fanned-out producer, and byte-adapted source frames.
@@ -1030,10 +1027,8 @@ impl Runtime {
     }
 
     /// Delivers a burst (`bytes` wire bytes in all) into `to`'s input
-    /// `port` and accounts it once. Pushes go one at a time only while the
-    /// consumer's output FIFO is empty: nothing drains that FIFO during a
-    /// delivery, so once it is occupied every later push stalls too, and
-    /// the rest of the burst is handed over in one call.
+    /// `port` in one [`ProcessingElement::push_burst`] call, which counts
+    /// its stalls, and accounts it once.
     fn deliver(
         &mut self,
         to: usize,
@@ -1051,25 +1046,19 @@ impl Runtime {
             }));
         }
         let n = tokens.len() as u64;
-        while !occupied(&**pe) {
-            let Some(token) = tokens.pop_front() else {
-                break;
-            };
-            pe.push(port, token)?;
-        }
-        let stalls = tokens.len() as u64;
-        if stalls > 0 {
-            pe.push_burst(port, tokens)?;
-        }
+        let stalls = pe.push_burst(port, tokens)?;
         self.charge(to, n, bytes, stalls);
         Ok(())
     }
 
-    /// [`Runtime::deliver`] for ADC samples: the stalled remainder goes
-    /// through one [`ProcessingElement::push_samples`] call. A PE whose
-    /// output FIFO is empty and that promises a quiet frame on port 0 takes
-    /// the whole delivery in that call: token by token, every push would
-    /// find the FIFO still empty, so none stalls.
+    /// [`Runtime::deliver`] for ADC samples. `push_samples` counts no
+    /// stalls, so samples go one at a time while the output FIFO is empty
+    /// and the stalled remainder (every later sample, by the stall rule of
+    /// [`ProcessingElement::push_burst`]) goes through one
+    /// [`ProcessingElement::push_samples`] call. A PE whose output FIFO is
+    /// empty and that promises a quiet frame on port 0 takes the whole
+    /// delivery in that call: token by token, every push would find the
+    /// FIFO still empty, so none stalls.
     fn deliver_samples(
         &mut self,
         to: usize,
@@ -1079,14 +1068,14 @@ impl Runtime {
         let Some(pe) = self.pes.get_mut(to) else {
             return Err(RuntimeError::NoSuchNode(NodeId(to)));
         };
-        if port == 0 && !occupied(&**pe) && pe.quiet_frames(samples.len()) >= 1 {
+        if port == 0 && pe.output_fifo().is_empty() && pe.quiet_frames(samples.len()) >= 1 {
             pe.push_samples(port, samples)?;
             let n = samples.len() as u64;
             self.charge(to, n, 2 * n, 0);
             return Ok(());
         }
         let mut pushed = 0;
-        while pushed < samples.len() && !occupied(&**pe) {
+        while pushed < samples.len() && pe.output_fifo().is_empty() {
             pe.push(port, Token::Sample(samples[pushed]))?;
             pushed += 1;
         }
@@ -1246,15 +1235,22 @@ impl Runtime {
             let mut moved = false;
             for i in 0..self.pes.len() {
                 // Idle PEs (the common case between block boundaries) cost
-                // one occupancy read.
-                if self.pes[i].output_fifo().is_empty() {
+                // one occupancy read. A drain into the empty `burst` lends
+                // it the FIFO's buffer and reports the burst's wire bytes.
+                let fifo = self.pes[i].output_fifo_mut();
+                if fifo.is_empty() {
                     continue;
                 }
-                burst.clear();
-                self.pes[i].drain_output(burst);
+                let bytes = fifo.drain_into(burst);
+                // Sticky causal context: a traced frame tags its producers'
+                // output FIFOs, so every downstream burst inherits the tag.
+                let tag = if self.tracer.is_some() {
+                    fifo.trace_tag()
+                } else {
+                    0
+                };
                 moved = true;
                 let n = burst.len() as u64;
-                let bytes: u64 = burst.iter().map(|t| t.wire_bytes() as u64).sum();
                 let t = &mut self.totals[i];
                 t.tokens_out += n;
                 t.bytes_out += bytes;
@@ -1271,14 +1267,6 @@ impl Runtime {
                         _ => None,
                     }));
                 }
-                // Sticky causal context: a traced frame tags its producers'
-                // output FIFOs, so every downstream burst inherits the tag.
-                // With no tracer attached this is a single branch per burst.
-                let tag = if self.tracer.is_some() {
-                    self.pes[i].output_fifo().trace_tag()
-                } else {
-                    0
-                };
                 // Traced bursts price each span's wait from the consumer's
                 // stall counter before and after the delivery.
                 let mut stall_base = std::mem::take(&mut self.trace_stall_scratch);
@@ -1324,6 +1312,11 @@ impl Runtime {
                     self.trace_burst(tag, i, n, bytes, &stall_base, is_radio);
                 }
                 self.trace_stall_scratch = stall_base;
+                // Hand the lent buffer back, so each FIFO keeps its own
+                // capacity. A producer with no routes (a tap only) leaves
+                // its burst whole.
+                burst.clear();
+                self.pes[i].output_fifo_mut().reclaim(burst);
             }
             if !moved {
                 return Ok(());

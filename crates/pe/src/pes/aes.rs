@@ -46,9 +46,7 @@ impl AesPe {
 
     fn emit(&mut self, mut block: [u8; 16]) {
         self.aes.encrypt_block(&mut block);
-        for b in block {
-            self.out.push(Token::Byte(b));
-        }
+        self.out.extend(block.map(Token::Byte));
     }
 
     fn stage_sample(&mut self, s: i16) {

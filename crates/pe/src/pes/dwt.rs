@@ -5,6 +5,7 @@ use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
 use crate::traits::{PeKind, ProcessingElement};
 use halo_kernels::Dwt;
+use std::collections::VecDeque;
 
 /// Operating mode of the DWT PE — the configurability that lets spike
 /// detection and compression share it (§IV-A: "spike detection requires
@@ -57,6 +58,14 @@ impl DwtPe {
         self.block_samples
     }
 
+    /// Stages a sample, transforming a block each time one fills.
+    fn take(&mut self, s: i16) {
+        self.buffer.push(s);
+        if self.buffer.len() == self.block_samples {
+            self.run_block(self.block_samples);
+        }
+    }
+
     fn run_block(&mut self, raw_len: usize) {
         if raw_len == 0 {
             return;
@@ -68,14 +77,12 @@ impl DwtPe {
         self.dwt.forward(&mut coeffs);
         match self.mode {
             DwtMode::SpikeDetect => {
-                for &d in self.dwt.deepest_detail(&coeffs) {
-                    self.out.push(Token::Value(d.abs() as i64));
-                }
+                let details = self.dwt.deepest_detail(&coeffs);
+                self.out
+                    .extend(details.iter().map(|&d| Token::Value(d.abs() as i64)));
             }
             DwtMode::Compress => {
-                for &c in &coeffs {
-                    self.out.push(Token::Coeff(c));
-                }
+                self.out.extend(coeffs.iter().map(|&c| Token::Coeff(c)));
                 self.out.push(Token::BlockEnd {
                     raw_len: raw_len as u32,
                 });
@@ -104,12 +111,7 @@ impl ProcessingElement for DwtPe {
     fn push(&mut self, port: usize, token: Token) -> Result<(), PeError> {
         self.check_port(port, &token)?;
         match token {
-            Token::Sample(s) => {
-                self.buffer.push(s);
-                if self.buffer.len() == self.block_samples {
-                    self.run_block(self.block_samples);
-                }
-            }
+            Token::Sample(s) => self.take(s),
             Token::BlockEnd { .. } => {
                 let len = self.buffer.len();
                 self.run_block(len);
@@ -117,6 +119,21 @@ impl ProcessingElement for DwtPe {
             _ => unreachable!("validated by check_port"),
         }
         Ok(())
+    }
+
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
+        self.push_burst_hot(
+            port,
+            tokens,
+            InterfaceKind::Samples,
+            |pe, token| match token {
+                Token::Sample(s) => {
+                    pe.take(s);
+                    None
+                }
+                token => Some(token),
+            },
+        )
     }
 
     fn flush(&mut self) {

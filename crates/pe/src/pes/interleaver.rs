@@ -62,9 +62,7 @@ impl InterleaverPe {
 
     fn emit_runs(&mut self) {
         for buf in &mut self.buffers {
-            for s in buf.drain(..) {
-                self.out.push(Token::Sample(s));
-            }
+            self.out.extend(buf.drain(..).map(Token::Sample));
         }
     }
 }

@@ -5,6 +5,7 @@ use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
 use crate::traits::{PeKind, ProcessingElement};
 use halo_kernels::{lic_encode, LzOp};
+use std::collections::VecDeque;
 
 /// The linear-integer-coding PE: LZ ops in, LZ4-format bytes out.
 ///
@@ -25,9 +26,7 @@ impl LicPe {
     fn run_block(&mut self, raw_len: u32) {
         let payload = lic_encode(&self.ops);
         self.ops.clear();
-        for b in payload {
-            self.out.push(Token::Byte(b));
-        }
+        self.out.extend(payload.into_iter().map(Token::Byte));
         self.out.push(Token::BlockEnd { raw_len });
     }
 }
@@ -53,6 +52,16 @@ impl ProcessingElement for LicPe {
             _ => unreachable!("validated by check_port"),
         }
         Ok(())
+    }
+
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
+        self.push_burst_hot(port, tokens, InterfaceKind::Ops, |pe, token| match token {
+            Token::Op(op) => {
+                pe.ops.push(op);
+                None
+            }
+            token => Some(token),
+        })
     }
 
     fn flush(&mut self) {

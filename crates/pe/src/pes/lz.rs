@@ -61,9 +61,8 @@ impl LzPe {
         if self.buffer.is_empty() {
             return;
         }
-        for op in self.matcher.parse(&self.buffer) {
-            self.out.push(Token::Op(op));
-        }
+        self.out
+            .extend(self.matcher.parse(&self.buffer).into_iter().map(Token::Op));
         self.out.push(Token::BlockEnd {
             raw_len: self.buffer.len() as u32,
         });

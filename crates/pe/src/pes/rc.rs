@@ -3,8 +3,9 @@
 use crate::error::PeError;
 use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
-use crate::traits::{PeKind, ProcessingElement};
+use crate::traits::{burst_loop, PeKind, ProcessingElement};
 use halo_kernels::RangeEncoder;
+use std::collections::VecDeque;
 
 /// The range-coder PE: probability triples and direct bits in, encoded
 /// bytes out. The encoder state (blue in Figure 3) lives here; the
@@ -12,6 +13,7 @@ use halo_kernels::RangeEncoder;
 ///
 /// Bytes stream out as the coder renormalizes; at each block marker the
 /// coder flushes, emits its tail bytes, forwards the marker, and restarts.
+/// A burst moves the renormalized bytes to the FIFO once, at its end.
 #[derive(Debug)]
 pub struct RcPe {
     enc: Option<RangeEncoder>,
@@ -35,6 +37,17 @@ impl RcPe {
         }
     }
 
+    fn encoder(&mut self) -> &mut RangeEncoder {
+        self.enc.as_mut().expect("encoder present between blocks")
+    }
+
+    /// Whether renormalized bytes wait in the encoder, not yet in the FIFO.
+    fn bytes_pending(&self) -> bool {
+        self.enc
+            .as_ref()
+            .is_some_and(|enc| enc.bytes_written() > self.emitted)
+    }
+
     /// Streams any newly renormalized bytes out of the encoder.
     fn drain_encoder(&mut self) {
         // Disjoint field borrows: read the encoder's append-only buffer
@@ -43,9 +56,7 @@ impl RcPe {
         let enc = enc.as_ref().expect("encoder present between blocks");
         let n = enc.bytes_written();
         if n > *emitted {
-            for &b in &enc.as_bytes()[*emitted..n] {
-                out.push(Token::Byte(b));
-            }
+            out.extend(enc.as_bytes()[*emitted..n].iter().map(|&b| Token::Byte(b)));
             *emitted = n;
         }
     }
@@ -68,25 +79,18 @@ impl ProcessingElement for RcPe {
         self.check_port(port, &token)?;
         match token {
             Token::Prob { cum, freq, total } => {
-                self.enc
-                    .as_mut()
-                    .expect("encoder present between blocks")
-                    .encode(cum, freq, total);
+                self.encoder().encode(cum, freq, total);
                 self.drain_encoder();
             }
             Token::Bits { value, bits } => {
-                self.enc
-                    .as_mut()
-                    .expect("encoder present between blocks")
-                    .encode_bits(value, bits);
+                self.encoder().encode_bits(value, bits);
                 self.drain_encoder();
             }
             Token::BlockEnd { raw_len } => {
                 let enc = self.enc.take().expect("encoder present between blocks");
                 let bytes = enc.finish();
-                for &b in &bytes[self.emitted..] {
-                    self.out.push(Token::Byte(b));
-                }
+                self.out
+                    .extend(bytes[self.emitted..].iter().map(|&b| Token::Byte(b)));
                 self.out.push(Token::BlockEnd { raw_len });
                 self.enc = Some(RangeEncoder::new());
                 self.emitted = 0;
@@ -94,6 +98,29 @@ impl ProcessingElement for RcPe {
             _ => unreachable!("validated by check_port"),
         }
         Ok(())
+    }
+
+    /// Encodes the burst's probability tokens without draining the encoder
+    /// per token; its bytes reach the FIFO before any other token is
+    /// pushed and at the burst's end. Bytes waiting in the encoder count
+    /// as occupying the FIFO, so the stall count is the per-token one.
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
+        let occupied = |pe: &Self| !pe.out.is_empty() || pe.bytes_pending();
+        let result = burst_loop(self, tokens, occupied, |pe, token| {
+            match token {
+                Token::Prob { cum, freq, total } if port == 0 => {
+                    pe.encoder().encode(cum, freq, total)
+                }
+                Token::Bits { value, bits } if port == 0 => pe.encoder().encode_bits(value, bits),
+                token => {
+                    pe.drain_encoder();
+                    return pe.push(port, token);
+                }
+            }
+            Ok(())
+        });
+        self.drain_encoder();
+        result
     }
 
     fn flush(&mut self) {}

@@ -45,8 +45,11 @@ pub enum Token {
         /// Uncompressed length of the block just ended.
         raw_len: u32,
     },
-    /// A packet of values (FFT spectra, XCOR correlation sets).
-    Vector(Vec<i32>),
+    /// A packet of values. No PE emits it and no port accepts
+    /// [`InterfaceKind::Vectors`]; it stays while the benchmark package's
+    /// replay still names it. The payload is boxed so it does not widen
+    /// every other token.
+    Vector(Box<Vec<i32>>),
 }
 
 /// The interface type of a PE port.
@@ -174,14 +177,25 @@ mod tests {
             Some(InterfaceKind::Probs)
         );
         assert_eq!(Token::BlockEnd { raw_len: 0 }.kind(), None);
-        assert_eq!(Token::Vector(vec![]).kind(), Some(InterfaceKind::Vectors));
+        assert_eq!(
+            Token::Vector(Box::default()).kind(),
+            Some(InterfaceKind::Vectors)
+        );
     }
 
     #[test]
     fn wire_bytes_scale_with_payload() {
         assert_eq!(Token::Byte(1).wire_bytes(), 1);
         assert_eq!(Token::Sample(1).wire_bytes(), 2);
-        assert_eq!(Token::Vector(vec![1, 2, 3]).wire_bytes(), 12);
+        assert_eq!(Token::Vector(Box::new(vec![1, 2, 3])).wire_bytes(), 12);
+    }
+
+    /// Every FIFO and burst moves tokens by value, so a token's size is
+    /// the unit of the hot path's memory traffic; a payload wider than
+    /// 12 bytes belongs behind a box, as [`Token::Vector`]'s is.
+    #[test]
+    fn token_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Token>(), 16);
     }
 
     #[test]

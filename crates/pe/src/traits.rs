@@ -172,7 +172,7 @@ pub trait ProcessingElement: Send {
     }
 
     /// Pushes a burst of tokens into `port`, taking them from the front of
-    /// `tokens`.
+    /// `tokens`, and returns how many of those pushes stalled.
     ///
     /// Semantically identical to calling [`ProcessingElement::push`] per
     /// token; the default does exactly that. Being a provided method, it
@@ -180,21 +180,64 @@ pub trait ProcessingElement: Send {
     /// burst. On error the failing token is dropped and the tokens after
     /// it stay in `tokens`.
     ///
+    /// **The stall rule.** A stall is a push that finds this PE's output
+    /// FIFO occupied: its consumer has not drained it yet, which the
+    /// runtime charges as back-pressure. FIFOs are drained only between
+    /// bursts and no PE pops its own output, so within a burst the FIFO
+    /// only grows: once a push finds it occupied, every later push of the
+    /// burst does too. The count is therefore the number of tokens left in
+    /// the burst when the FIFO first holds a token. An override that holds
+    /// output back until the burst ends counts it as if it were queued.
+    ///
     /// # Errors
     ///
     /// Returns the first [`PeError`] a push raises.
-    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<(), PeError> {
-        while let Some(token) = tokens.pop_front() {
-            self.push(port, token)?;
-        }
-        Ok(())
+    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
+        burst_loop(
+            self,
+            tokens,
+            |pe| !pe.output_fifo().is_empty(),
+            |pe, token| pe.push(port, token),
+        )
+    }
+
+    /// The [`ProcessingElement::push_burst`] of a PE with one hot token
+    /// kind, for overrides to call. When `port` takes `kind`, `hot` is
+    /// handed each token and returns those it does not take, which go
+    /// through [`ProcessingElement::push`]; otherwise every token does.
+    /// `hot` must take only tokens of `kind`, with the effect `push` would
+    /// have: the port is then checked once per burst instead of per token.
+    fn push_burst_hot(
+        &mut self,
+        port: usize,
+        tokens: &mut VecDeque<Token>,
+        kind: InterfaceKind,
+        mut hot: impl FnMut(&mut Self, Token) -> Option<Token>,
+    ) -> Result<u64, PeError>
+    where
+        Self: Sized,
+    {
+        let takes_kind = self.input_ports().get(port) == Some(&kind);
+        burst_loop(
+            self,
+            tokens,
+            |pe| !pe.output_fifo().is_empty(),
+            |pe, token| {
+                let rest = if takes_kind {
+                    hot(pe, token)
+                } else {
+                    Some(token)
+                };
+                rest.map_or(Ok(()), |token| pe.push(port, token))
+            },
+        )
     }
 
     /// Moves every queued output token into `into`, preserving order.
     ///
-    /// Semantically identical to `while let Some(t) = self.pull()`, but the
-    /// whole buffer moves in one bulk copy (see [`Fifo::drain_into`]), so
-    /// the streaming runtime drains a burst with one virtual call.
+    /// Semantically identical to `while let Some(t) = self.pull()`, but an
+    /// empty `into` takes the FIFO's whole buffer in one swap (see
+    /// [`Fifo::drain_into`]).
     fn drain_output(&mut self, into: &mut VecDeque<Token>) {
         self.output_fifo_mut().drain_into(into);
     }
@@ -205,13 +248,13 @@ pub trait ProcessingElement: Send {
     /// Private memory the current configuration occupies, in bytes.
     fn memory_bytes(&self) -> usize;
 
-    /// The PE's output FIFO. The runtime reads its occupancy to price
-    /// back-pressure, and telemetry its high-water mark, without
-    /// disturbing the stream.
+    /// The PE's output FIFO. Its occupancy prices back-pressure (see
+    /// [`ProcessingElement::push_burst`]), and telemetry reads its
+    /// high-water mark, without disturbing the stream.
     fn output_fifo(&self) -> &Fifo;
 
-    /// Mutable access to the output FIFO, which [`ProcessingElement::pull`]
-    /// and [`ProcessingElement::drain_output`] drain.
+    /// Mutable access to the output FIFO, which [`ProcessingElement::pull`],
+    /// [`ProcessingElement::drain_output`] and the runtime drain.
     fn output_fifo_mut(&mut self) -> &mut Fifo;
 
     /// How many upcoming *whole frames* of `frame_samples` samples this PE
@@ -273,6 +316,29 @@ pub trait ProcessingElement: Send {
             }),
         }
     }
+}
+
+/// The one loop behind every [`ProcessingElement::push_burst`]: hands the
+/// tokens to `take` in order and counts stalls by the rule in that
+/// method's doc, with `occupied` saying whether the PE's output FIFO holds
+/// (or would hold) a token.
+pub(crate) fn burst_loop<P: ProcessingElement + ?Sized>(
+    pe: &mut P,
+    tokens: &mut VecDeque<Token>,
+    occupied: impl Fn(&P) -> bool,
+    mut take: impl FnMut(&mut P, Token) -> Result<(), PeError>,
+) -> Result<u64, PeError> {
+    while !occupied(pe) {
+        let Some(token) = tokens.pop_front() else {
+            return Ok(0);
+        };
+        take(pe, token)?;
+    }
+    let stalls = tokens.len() as u64;
+    while let Some(token) = tokens.pop_front() {
+        take(pe, token)?;
+    }
+    Ok(stalls)
 }
 
 #[cfg(test)]

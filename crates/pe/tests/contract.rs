@@ -3,47 +3,10 @@
 //! memory footprints. Table-driven across the whole registry so a new PE
 //! cannot silently skip the contract.
 
-use halo_kernels::{BbfDesign, Dwt, Fft, LinearSvm, LzMatcher, Threshold, XcorConfig};
-use halo_pe::pes::{
-    AesPe, BbfMode, BbfPe, DwtMode, DwtPe, FftPe, GatePe, HjorthPe, InterleaverPe, LicPe, LzPe,
-    MaMode, MaPe, NeoPe, RcPe, SvmPe, ThrPe, XcorPe, XcorVariant,
-};
-use halo_pe::{InterfaceKind, ProcessingElement, Token};
+mod registry;
 
-fn registry() -> Vec<Box<dyn ProcessingElement>> {
-    let bbf = BbfDesign::new(10.0, 100.0, 1000).expect("band");
-    vec![
-        Box::new(NeoPe::with_channels(2)),
-        Box::new(ThrPe::new(Threshold::above(0))),
-        Box::new(GatePe::with_channels(1, 2, 1)),
-        Box::new(BbfPe::with_channels(&bbf, BbfMode::Stream, 2, &[0])),
-        Box::new(FftPe::with_channels(
-            Fft::new(16).expect("size"),
-            1000,
-            vec![(0.0, 500.0)],
-            2,
-            &[0],
-            1,
-        )),
-        Box::new(XcorPe::new(
-            XcorConfig::new(2, 8, 0, vec![(0, 1)]).expect("config"),
-            XcorVariant::Streaming,
-        )),
-        Box::new(SvmPe::new(LinearSvm::new(vec![1, 1], 0).expect("weights"))),
-        Box::new(DwtPe::new(
-            Dwt::new(2).expect("levels"),
-            DwtMode::Compress,
-            8,
-        )),
-        Box::new(LzPe::new(LzMatcher::new(256).expect("history"), 64)),
-        Box::new(LicPe::new()),
-        Box::new(MaPe::new(MaMode::Lzma, 16)),
-        Box::new(RcPe::new()),
-        Box::new(AesPe::new([0u8; 16])),
-        Box::new(InterleaverPe::new(2, 4)),
-        Box::new(HjorthPe::new(2, &[0], 8)),
-    ]
-}
+use halo_pe::{InterfaceKind, Token};
+use registry::registry;
 
 /// A token of every interface kind (to probe mismatches).
 fn sample_tokens() -> Vec<Token> {
@@ -59,7 +22,7 @@ fn sample_tokens() -> Vec<Token> {
             freq: 1,
             total: 2,
         },
-        Token::Vector(vec![1]),
+        Token::Vector(Box::new(vec![1])),
     ]
 }
 
