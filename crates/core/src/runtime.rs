@@ -856,12 +856,10 @@ impl Runtime {
                 let Some(pe) = self.pes.get_mut(slot) else {
                     return Err(RuntimeError::NoSuchNode(NodeId(slot)));
                 };
-                match pe.output_fifo_mut().front_mut() {
-                    Some(token) => {
-                        token.flip_bit(bit);
-                        Err(RuntimeError::FifoParity { slot, bit })
-                    }
-                    None => Ok(()),
+                if pe.output_fifo_mut().flip_front_bit(bit) {
+                    Err(RuntimeError::FifoParity { slot, bit })
+                } else {
+                    Ok(())
                 }
             }
             FaultAction::FifoOverflow { slot } => {
@@ -879,12 +877,10 @@ impl Runtime {
                 let Some(pe) = self.pes.get_mut(slot) else {
                     return Err(RuntimeError::NoSuchNode(NodeId(slot)));
                 };
-                match pe.output_fifo_mut().front_mut() {
-                    Some(token) => {
-                        token.flip_bit(bit);
-                        Err(RuntimeError::PeResidue { slot })
-                    }
-                    None => Ok(()),
+                if pe.output_fifo_mut().flip_front_bit(bit) {
+                    Err(RuntimeError::PeResidue { slot })
+                } else {
+                    Ok(())
                 }
             }
             FaultAction::LinkDegrade {

@@ -25,9 +25,7 @@ pub struct Fifo {
     queue: VecDeque<Token>,
     high_water: usize,
     /// Wire bytes of the queued tokens, kept as they enter and leave so a
-    /// drain reports its burst's bytes without walking it. Exact because
-    /// nothing changes a queued token's wire size (see
-    /// [`Fifo::front_mut`]).
+    /// drain reports its burst's bytes without walking it.
     wire_bytes: u64,
     /// Sticky causal-trace context: the id of the sampled frame trace whose
     /// tokens most recently flowed through this FIFO, or `0` when untraced.
@@ -73,13 +71,15 @@ impl Fifo {
         Some(token)
     }
 
-    /// Mutable access to the oldest queued token — the fault-injection
-    /// point for modeled FIFO bit flips. `None` when empty.
-    ///
-    /// Only for an in-place [`Token::flip_bit`], which never changes a
-    /// token's variant or length and so keeps [`Fifo::wire_bytes`] exact.
-    pub fn front_mut(&mut self) -> Option<&mut Token> {
-        self.queue.front_mut()
+    /// Flips `bit` of the oldest queued token ([`Token::flip_bit`]) — the
+    /// fault-injection point for modeled FIFO bit flips. Returns whether
+    /// a token was there to flip.
+    pub fn flip_front_bit(&mut self, bit: u32) -> bool {
+        let Some(token) = self.queue.front_mut() else {
+            return false;
+        };
+        token.flip_bit(bit);
+        true
     }
 
     /// Moves every queued token into `out`, preserving order, and returns
@@ -169,6 +169,17 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(!f.is_empty());
         assert_eq!(f.wire_bytes(), 4);
+    }
+
+    #[test]
+    fn bit_flip_keeps_the_wire_byte_sum() {
+        let mut f = Fifo::new();
+        assert!(!f.flip_front_bit(0), "nothing to flip");
+        f.push(Token::Byte(1));
+        f.push(Token::Value(2));
+        assert!(f.flip_front_bit(1));
+        assert_eq!(f.wire_bytes(), 9);
+        assert_eq!(f.pop(), Some(Token::Byte(3)));
     }
 
     #[test]

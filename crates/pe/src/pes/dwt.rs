@@ -5,7 +5,6 @@ use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
 use crate::traits::{PeKind, ProcessingElement};
 use halo_kernels::Dwt;
-use std::collections::VecDeque;
 
 /// Operating mode of the DWT PE — the configurability that lets spike
 /// detection and compression share it (§IV-A: "spike detection requires
@@ -58,14 +57,6 @@ impl DwtPe {
         self.block_samples
     }
 
-    /// Stages a sample, transforming a block each time one fills.
-    fn take(&mut self, s: i16) {
-        self.buffer.push(s);
-        if self.buffer.len() == self.block_samples {
-            self.run_block(self.block_samples);
-        }
-    }
-
     fn run_block(&mut self, raw_len: usize) {
         if raw_len == 0 {
             return;
@@ -111,7 +102,12 @@ impl ProcessingElement for DwtPe {
     fn push(&mut self, port: usize, token: Token) -> Result<(), PeError> {
         self.check_port(port, &token)?;
         match token {
-            Token::Sample(s) => self.take(s),
+            Token::Sample(s) => {
+                self.buffer.push(s);
+                if self.buffer.len() == self.block_samples {
+                    self.run_block(self.block_samples);
+                }
+            }
             Token::BlockEnd { .. } => {
                 let len = self.buffer.len();
                 self.run_block(len);
@@ -119,21 +115,6 @@ impl ProcessingElement for DwtPe {
             _ => unreachable!("validated by check_port"),
         }
         Ok(())
-    }
-
-    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
-        self.push_burst_hot(
-            port,
-            tokens,
-            InterfaceKind::Samples,
-            |pe, token| match token {
-                Token::Sample(s) => {
-                    pe.take(s);
-                    None
-                }
-                token => Some(token),
-            },
-        )
     }
 
     fn flush(&mut self) {

@@ -5,7 +5,6 @@ use crate::fifo::Fifo;
 use crate::token::{InterfaceKind, Token};
 use crate::traits::{PeKind, ProcessingElement};
 use halo_kernels::{lic_encode, LzOp};
-use std::collections::VecDeque;
 
 /// The linear-integer-coding PE: LZ ops in, LZ4-format bytes out.
 ///
@@ -52,16 +51,6 @@ impl ProcessingElement for LicPe {
             _ => unreachable!("validated by check_port"),
         }
         Ok(())
-    }
-
-    fn push_burst(&mut self, port: usize, tokens: &mut VecDeque<Token>) -> Result<u64, PeError> {
-        self.push_burst_hot(port, tokens, InterfaceKind::Ops, |pe, token| match token {
-            Token::Op(op) => {
-                pe.ops.push(op);
-                None
-            }
-            token => Some(token),
-        })
     }
 
     fn flush(&mut self) {

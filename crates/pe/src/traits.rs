@@ -201,43 +201,11 @@ pub trait ProcessingElement: Send {
         )
     }
 
-    /// The [`ProcessingElement::push_burst`] of a PE with one hot token
-    /// kind, for overrides to call. When `port` takes `kind`, `hot` is
-    /// handed each token and returns those it does not take, which go
-    /// through [`ProcessingElement::push`]; otherwise every token does.
-    /// `hot` must take only tokens of `kind`, with the effect `push` would
-    /// have: the port is then checked once per burst instead of per token.
-    fn push_burst_hot(
-        &mut self,
-        port: usize,
-        tokens: &mut VecDeque<Token>,
-        kind: InterfaceKind,
-        mut hot: impl FnMut(&mut Self, Token) -> Option<Token>,
-    ) -> Result<u64, PeError>
-    where
-        Self: Sized,
-    {
-        let takes_kind = self.input_ports().get(port) == Some(&kind);
-        burst_loop(
-            self,
-            tokens,
-            |pe| !pe.output_fifo().is_empty(),
-            |pe, token| {
-                let rest = if takes_kind {
-                    hot(pe, token)
-                } else {
-                    Some(token)
-                };
-                rest.map_or(Ok(()), |token| pe.push(port, token))
-            },
-        )
-    }
-
     /// Moves every queued output token into `into`, preserving order.
     ///
     /// Semantically identical to `while let Some(t) = self.pull()`, but an
-    /// empty `into` takes the FIFO's whole buffer in one swap (see
-    /// [`Fifo::drain_into`]).
+    /// empty `into` borrows the FIFO's whole buffer in one swap; give it
+    /// back with [`Fifo::reclaim`] once emptied (see [`Fifo::drain_into`]).
     fn drain_output(&mut self, into: &mut VecDeque<Token>) {
         self.output_fifo_mut().drain_into(into);
     }
