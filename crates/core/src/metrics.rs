@@ -54,9 +54,15 @@ pub struct TaskMetrics {
     pub input_bytes: u64,
     /// Bytes handed to the radio (after compression/gating/encryption).
     pub radio_bytes: u64,
-    /// The framed radio stream (decompressible for compression tasks).
+    /// The framed radio stream (decompressible for compression tasks),
+    /// moved out of the runtime at
+    /// [`HaloSystem::finalize`](crate::HaloSystem::finalize).
     pub radio_stream: Vec<u8>,
-    /// Detector flags delivered to the micro-controller `(frame, flag)`.
+    /// Detector flags delivered to the micro-controller `(frame, flag)`:
+    /// every flag the detector emits, at 16 B each, so a spike detector at
+    /// the 96-ch × 30 kHz design point records 46 MB per second of signal.
+    /// [`HaloSystem::finalize`](crate::HaloSystem::finalize) moves the
+    /// runtime's record here rather than copying it.
     pub detections: Vec<(u64, bool)>,
     /// Closed-loop stimulation events.
     pub stim_events: Vec<StimEvent>,

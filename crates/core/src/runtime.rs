@@ -283,7 +283,13 @@ impl RadioCollector {
             self.framed
                 .extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
         }
-        self.framed.append(&mut self.pending);
+        // A raw stream is all payload: it becomes the framed stream by a
+        // swap, not a copy.
+        if self.framed.is_empty() {
+            std::mem::swap(&mut self.framed, &mut self.pending);
+        } else {
+            self.framed.append(&mut self.pending);
+        }
     }
 }
 
@@ -1379,15 +1385,36 @@ impl Runtime {
         }
     }
 
-    /// The framed radio stream (compressed blocks or raw payload).
+    /// The framed radio stream (compressed blocks or raw payload). Empty
+    /// once [`HaloSystem::finalize`](crate::HaloSystem::finalize) has
+    /// moved it into the run's metrics.
     pub fn radio_stream(&self) -> &[u8] {
         &self.radio.framed
     }
 
     /// Flags delivered to the micro-controller, with the frame index at
-    /// which each arrived.
+    /// which each arrived. Empty once
+    /// [`HaloSystem::finalize`](crate::HaloSystem::finalize) has moved
+    /// them into the run's metrics.
     pub fn mcu_flags(&self) -> &[(u64, bool)] {
         &self.mcu_flags
+    }
+
+    /// Whether [`Runtime::finish`] has ended the stream.
+    pub(crate) fn finished(&self) -> bool {
+        self.finished
+    }
+
+    /// Moves the radio stream and the MCU flag record out, leaving both
+    /// empty: each output is recorded once and handed on, not copied.
+    pub(crate) fn take_outputs(&mut self) -> (Vec<u8>, Vec<(u64, bool)>) {
+        // Windows count radio bytes from the stream's length, which
+        // restarts at zero.
+        self.radio_base = 0;
+        (
+            std::mem::take(&mut self.radio.framed),
+            std::mem::take(&mut self.mcu_flags),
+        )
     }
 
     /// `(port, value)` pairs captured by [`Runtime::probe_into`], in

@@ -62,6 +62,10 @@ pub enum SystemError {
         /// Alerts lost beyond recovery.
         lost: u64,
     },
+    /// The stream already ended: [`HaloSystem::finalize`] ran, so the
+    /// device takes no more samples and has no run left to finalize.
+    /// [`HaloSystem::reconfigure`] starts a new stream.
+    Finished,
 }
 
 impl From<PipelineError> for SystemError {
@@ -109,6 +113,7 @@ impl std::fmt::Display for SystemError {
                     "{lost} seizure alert(s) unrecoverably lost on the inter-device link"
                 )
             }
+            Self::Finished => write!(f, "the stream already ended at finalize"),
         }
     }
 }
@@ -406,8 +411,12 @@ impl HaloSystem {
     /// # Errors
     ///
     /// Returns [`SystemError::Runtime`] on a streaming failure (also
-    /// reported to the attached health monitor's flight recorder).
+    /// reported to the attached health monitor's flight recorder), and
+    /// [`SystemError::Finished`] after [`HaloSystem::finalize`].
     pub fn push_block(&mut self, samples: &[i16]) -> Result<(), SystemError> {
+        if self.runtime.finished() {
+            return Err(SystemError::Finished);
+        }
         let result = self.runtime.push_block(samples, self.config.channels);
         self.report(result)
     }
@@ -463,13 +472,18 @@ impl HaloSystem {
     /// closed-loop stimulation, finalizes open traces, and honors a
     /// fail-fast health monitor. [`HaloSystem::process`] is exactly
     /// [`HaloSystem::push_block`] over the whole recording followed by
-    /// this call.
+    /// this call. The radio stream and MCU flags move into the returned
+    /// metrics, so the runtime's copies read empty afterwards.
     ///
     /// # Errors
     ///
     /// Returns [`SystemError`] on a draining failure, firmware error, or a
-    /// tripped fail-fast monitor.
+    /// tripped fail-fast monitor, and [`SystemError::Finished`] once the
+    /// stream has ended (a draining failure leaves it open, to retry).
     pub fn finalize(&mut self) -> Result<TaskMetrics, SystemError> {
+        if self.runtime.finished() {
+            return Err(SystemError::Finished);
+        }
         let result = self.runtime.finish();
         self.report(result)?;
 
@@ -550,7 +564,7 @@ impl HaloSystem {
 
         let frames = self.runtime.frames();
         let duration_s = frames as f64 / self.config.sample_rate_hz as f64;
-        let radio_stream = self.runtime.radio_stream().to_vec();
+        let (radio_stream, detections) = self.runtime.take_outputs();
         let pe_activity = self
             .runtime
             .slot_totals()
@@ -574,7 +588,7 @@ impl HaloSystem {
             input_bytes: frames * self.config.channels as u64 * 2,
             radio_bytes: radio_stream.len() as u64,
             radio_stream,
-            detections: self.runtime.mcu_flags().to_vec(),
+            detections,
             stim_events,
             bus_bytes: self.runtime.fabric().bus_bytes(),
             switches: self.switches,
@@ -664,6 +678,37 @@ mod tests {
         assert_eq!(got.radio_stream, expected.radio_stream);
         assert_eq!(got.detections, expected.detections);
         assert_eq!(got.bus_bytes, expected.bus_bytes);
+    }
+
+    /// A second `finalize` is refused rather than replaying stimulation a
+    /// second time, and the first left the outputs in its metrics alone.
+    #[test]
+    fn finalize_after_finalize_is_a_typed_error() {
+        let config = HaloConfig::small_test(8);
+        let mut sys = HaloSystem::new(Task::SpikeDetectNeo, config).unwrap();
+        let metrics = sys.process(&recording(8, 20, 5)).unwrap();
+        assert!(!metrics.radio_stream.is_empty() && !metrics.detections.is_empty());
+        assert!(sys.runtime().radio_stream().is_empty(), "stream was copied");
+        assert!(sys.runtime().mcu_flags().is_empty(), "flags were copied");
+        assert!(matches!(sys.finalize(), Err(SystemError::Finished)));
+    }
+
+    /// Samples after `finalize` are refused with the same error instead of
+    /// tripping the runtime's assertion; a reconfiguration starts a new
+    /// stream that takes them.
+    #[test]
+    fn push_after_finalize_is_a_typed_error() {
+        let config = HaloConfig::small_test(4);
+        let rec = recording(4, 10, 2);
+        let mut sys = HaloSystem::new(Task::EncryptRaw, config).unwrap();
+        sys.process(&rec).unwrap();
+        assert!(matches!(
+            sys.push_block(rec.samples()),
+            Err(SystemError::Finished)
+        ));
+        assert!(matches!(sys.process(&rec), Err(SystemError::Finished)));
+        sys.reconfigure(Task::EncryptRaw).unwrap();
+        sys.process(&rec).unwrap();
     }
 
     #[test]

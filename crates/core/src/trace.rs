@@ -93,11 +93,16 @@ fn stim_records(metrics: &TaskMetrics) -> Vec<StimRecord> {
         .collect()
 }
 
-/// Freezes `system`'s stream so far as a [`TraceLog`] without
-/// stimulation records: its task, configuration fingerprint and switch
-/// words, the frame-major `samples` it consumed, and the radio stream and
-/// MCU flags its runtime produced from them.
-pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
+/// A [`TraceLog`] of `system`'s task, configuration fingerprint and
+/// switch words, the frame-major `samples` it consumed, and the outputs
+/// it produced from them.
+fn log(
+    system: &HaloSystem,
+    samples: &[i16],
+    radio: &[u8],
+    mcu_flags: &[(u64, bool)],
+    stim: Vec<StimRecord>,
+) -> TraceLog {
     TraceLog {
         task: system.task().label().to_string(),
         config_fingerprint: system.config().fingerprint(),
@@ -105,23 +110,41 @@ pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
         sample_rate_hz: system.config().sample_rate_hz,
         switch_words: system.runtime().fabric().encoded_routes(),
         samples: samples.to_vec(),
-        radio: system.runtime().radio_stream().to_vec(),
-        mcu_flags: system.runtime().mcu_flags().to_vec(),
-        stim: Vec::new(),
+        radio: radio.to_vec(),
+        mcu_flags: mcu_flags.to_vec(),
+        stim,
     }
+}
+
+/// Freezes `system`'s unfinished stream so far as a [`TraceLog`] without
+/// stimulation records: the radio stream and MCU flags come from its
+/// runtime, which still holds them.
+pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
+    let runtime = system.runtime();
+    log(
+        system,
+        samples,
+        runtime.radio_stream(),
+        runtime.mcu_flags(),
+        Vec::new(),
+    )
 }
 
 /// Captures a finished run as a replayable [`TraceLog`].
 ///
 /// Call after [`HaloSystem::process`] returned `metrics` for `recording`
 /// on `system`; the log records the exact inputs (samples, fabric
-/// programming, configuration fingerprint) and outputs (radio bytes, MCU
-/// flags, stimulation events) so [`replay`] can verify bit-identity.
+/// programming, configuration fingerprint) and the outputs `metrics`
+/// carries (radio bytes, MCU flags, stimulation events) so [`replay`] can
+/// verify bit-identity.
 pub fn capture(system: &HaloSystem, recording: &Recording, metrics: &TaskMetrics) -> TraceLog {
-    TraceLog {
-        stim: stim_records(metrics),
-        ..snapshot(system, recording.samples())
-    }
+    log(
+        system,
+        recording.samples(),
+        &metrics.radio_stream,
+        &metrics.detections,
+        stim_records(metrics),
+    )
 }
 
 /// Builds the fresh, unstreamed device `log` was taken from: looks its

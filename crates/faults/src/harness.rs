@@ -360,7 +360,7 @@ impl Engine<'_> {
             }
         }
         let metrics = self.finalize_with_recovery();
-        self.flush_radio();
+        self.flush_radio(metrics.as_ref());
         self.supervisor.finish(self.total_frames);
         metrics
     }
@@ -480,12 +480,19 @@ impl Engine<'_> {
         }
     }
 
-    /// Offers any new radio bytes to the ARQ link and advances it.
+    /// Offers the runtime's new radio bytes to the ARQ link and advances
+    /// it.
     fn pump_radio(&mut self, now: u64) {
         let stream = self.system.runtime().radio_stream();
-        if stream.len() > self.radio_offset {
-            let payload = stream[self.radio_offset..].to_vec();
-            self.radio_offset = stream.len();
+        let payload = stream.get(self.radio_offset..).unwrap_or_default().to_vec();
+        self.offer_radio(now, payload);
+    }
+
+    /// Offers `payload`, the radio bytes after `radio_offset`, to the ARQ
+    /// link and advances it.
+    fn offer_radio(&mut self, now: u64, payload: Vec<u8>) {
+        if !payload.is_empty() {
+            self.radio_offset += payload.len();
             self.offered.extend_from_slice(&payload);
             match self.link.offer(now, payload) {
                 Ok(_) => {}
@@ -504,9 +511,15 @@ impl Engine<'_> {
     }
 
     /// End of stream: offer the tail, then retransmit until the queue
-    /// drains or gives up.
-    fn flush_radio(&mut self) {
-        self.pump_radio(self.total_frames);
+    /// drains or gives up. A clean finalize moved the stream into its
+    /// `metrics`; after a failed one the runtime still holds it.
+    fn flush_radio(&mut self, metrics: Option<&halo_core::TaskMetrics>) {
+        let stream = match metrics {
+            Some(m) => &m.radio_stream[..],
+            None => self.system.runtime().radio_stream(),
+        };
+        let tail = stream.get(self.radio_offset..).unwrap_or_default().to_vec();
+        self.offer_radio(self.total_frames, tail);
         self.link.flush(self.total_frames);
         for (_seq, payload) in self.link.take_delivered() {
             self.delivered.extend_from_slice(&payload);

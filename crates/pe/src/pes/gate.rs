@@ -14,12 +14,12 @@ use std::collections::VecDeque;
 /// a spike on one channel from opening the gate for its neighbours, and a
 /// hold window keeps the gate open long enough to pass whole waveforms —
 /// this is what turns spike *detection* into radio-bandwidth *reduction*
-/// (§III).
+/// (§III). Data waits for its control bit as bare samples.
 #[derive(Debug)]
 pub struct GatePe {
     lanes: Vec<Gate>,
     data_per_control: usize,
-    data: VecDeque<Token>,
+    data: VecDeque<i16>,
     control: VecDeque<bool>,
     next_lane: usize,
     budget: usize,
@@ -80,9 +80,11 @@ impl GatePe {
                 let Some(c) = self.control.pop_front() else {
                     return;
                 };
-                let lane_idx = self.next_lane;
-                self.next_lane = (self.next_lane + 1) % self.lanes.len();
-                self.budget_open = self.lanes[lane_idx].process((), c).is_some();
+                self.budget_open = self.lanes[self.next_lane].process((), c).is_some();
+                self.next_lane += 1;
+                if self.next_lane == self.lanes.len() {
+                    self.next_lane = 0;
+                }
                 self.budget = self.data_per_control;
             }
             while self.budget > 0 {
@@ -92,7 +94,7 @@ impl GatePe {
                 self.budget -= 1;
                 if self.budget_open {
                     self.passed += 1;
-                    self.out.push(d);
+                    self.out.push(Token::Sample(d));
                 } else {
                     self.dropped += 1;
                 }
@@ -119,8 +121,8 @@ impl ProcessingElement for GatePe {
         match (port, token) {
             (0, t @ Token::BlockEnd { .. }) => self.out.push(t),
             (1, Token::BlockEnd { .. }) => {}
-            (0, t) => {
-                self.data.push_back(t);
+            (0, Token::Sample(s)) => {
+                self.data.push_back(s);
                 self.drain_pairs();
             }
             (1, Token::Flag(c)) => {
@@ -139,7 +141,7 @@ impl ProcessingElement for GatePe {
         self.check_port(port, &Token::Sample(first))?;
         // Pairing consumes data in arrival order, so queueing the whole
         // slice before one pairing pass emits what per-token pushes would.
-        self.data.extend(samples.iter().map(|&s| Token::Sample(s)));
+        self.data.extend(samples);
         self.drain_pairs();
         Ok(())
     }

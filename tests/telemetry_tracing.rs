@@ -1,11 +1,12 @@
 //! End-to-end causal-tracing tests: deterministic sampling, well-formed
 //! span trees across the stock pipelines, zero perturbation of device
-//! outputs, and bit-identical capture/replay of a closed-loop seizure run.
+//! outputs, and bit-identical capture/replay of every pipeline's run,
+//! closed-loop seizure prediction included.
 
 use std::sync::Arc;
 
 use halo::core::tasks::seizure;
-use halo::core::{trace, HaloConfig, HaloSystem, Task};
+use halo::core::{trace, HaloConfig, HaloSystem, Task, TaskMetrics};
 use halo::signal::{Recording, RecordingConfig, RegionProfile};
 use halo::telemetry::{SpanKind, SpanTree, TraceLog, TraceSampler, Tracer};
 
@@ -141,22 +142,24 @@ fn tracing_does_not_perturb_outputs() {
     assert_eq!(plain_metrics.bus_bytes, traced_metrics.bus_bytes);
 }
 
-/// The flagship acceptance path: a traced closed-loop seizure run is
-/// captured to a trace log, the log survives serialization bit-exactly,
-/// and replaying it through a fresh device reproduces every output byte.
-#[test]
-fn seizure_closed_loop_capture_replays_bit_identically() {
-    let (config, session) = scenario(Task::SeizurePrediction);
+/// Runs `task`'s scenario under a 1-in-64 tracer, captures it to a trace
+/// log, checks that the log holds the run's outputs and survives
+/// serialization bit-exactly, and replays it through a fresh device,
+/// which must reproduce every output byte. Returns the run's metrics.
+fn capture_replays_bit_identically(task: Task) -> TaskMetrics {
+    let (config, session) = scenario(task);
     let tracer = Arc::new(Tracer::new(0xA11CE, 64));
-    let mut system = HaloSystem::new(Task::SeizurePrediction, config.clone()).unwrap();
+    let mut system = HaloSystem::new(task, config.clone()).unwrap();
     system.attach_tracing(tracer.clone());
     let metrics = system.process(&session).unwrap();
-    assert!(
-        !metrics.stim_events.is_empty(),
-        "scenario must trigger closed-loop stimulation"
-    );
 
     let log = trace::capture(&system, &session, &metrics);
+    assert!(
+        !log.radio.is_empty() || !log.mcu_flags.is_empty(),
+        "{task}: the scenario produced no output to capture"
+    );
+    assert_eq!(log.radio, metrics.radio_stream, "{task}: radio");
+    assert_eq!(log.mcu_flags, metrics.detections, "{task}: MCU flags");
     // Serialization is binary-stable: write -> read -> write is a fixpoint.
     let text = log.write();
     let reread = TraceLog::read(&text).unwrap();
@@ -164,8 +167,31 @@ fn seizure_closed_loop_capture_replays_bit_identically() {
     assert_eq!(reread.write(), text);
 
     let (replayed, report) = trace::replay(&reread, config).unwrap();
-    assert!(report.identical(), "replay diverged: {report}");
+    assert!(report.identical(), "{task}: replay diverged: {report}");
     assert_eq!(replayed.radio_stream, metrics.radio_stream);
     assert_eq!(replayed.detections, metrics.detections);
     assert_eq!(replayed.stim_events.len(), metrics.stim_events.len());
+    metrics
+}
+
+/// The flagship acceptance path: a traced closed-loop seizure run is
+/// captured to a trace log, the log survives serialization bit-exactly,
+/// and replaying it through a fresh device reproduces every output byte.
+#[test]
+fn seizure_closed_loop_capture_replays_bit_identically() {
+    let metrics = capture_replays_bit_identically(Task::SeizurePrediction);
+    assert!(
+        !metrics.stim_events.is_empty(),
+        "scenario must trigger closed-loop stimulation"
+    );
+}
+
+/// Capture and replay hold for every other stock pipeline too.
+#[test]
+fn every_pipeline_capture_replays_bit_identically() {
+    for task in Task::all() {
+        if task != Task::SeizurePrediction {
+            capture_replays_bit_identically(task);
+        }
+    }
 }
