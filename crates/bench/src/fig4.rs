@@ -169,7 +169,12 @@ mod tests {
                 row.task
             );
             if let Some((_, sw)) = row.software {
-                assert!(sw > row.halo, "{}: software should lose", row.task);
+                assert!(
+                    sw >= 4.0 * row.halo,
+                    "{}: software {sw:.2} mW is under 4x HALO's {:.2} mW",
+                    row.task,
+                    row.halo
+                );
             }
             assert!(row.asic > row.halo, "{}: ASIC should lose", row.task);
         }

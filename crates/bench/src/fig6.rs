@@ -113,6 +113,24 @@ mod tests {
             assert!(ladder.first().expect("nonempty").power_mw > 12.0);
             assert!(ladder.last().expect("nonempty").power_mw < 12.0);
         }
+        // DESIGN.md §3: XCOR steps of 2.2x then 1.4x, and LZMA rungs of
+        // 20 -> ~13 -> 11.2 -> ~7 mW.
+        let xcor = xcor_ladder();
+        assert_eq!(xcor.len(), 3);
+        for (pair, step) in xcor.windows(2).zip([2.2, 1.4]) {
+            let got = pair[0].power_mw / pair[1].power_mw;
+            assert!((got - step).abs() <= 0.1, "{}: {got:.2}x", pair[1].label);
+        }
+        let lzma = lzma_ladder();
+        assert_eq!(lzma.len(), 4);
+        for (rung, mw) in lzma.iter().zip([20.0, 13.0, 11.2, 7.0]) {
+            assert!(
+                (rung.power_mw - mw).abs() <= 0.5,
+                "{}: {:.2} mW",
+                rung.label,
+                rung.power_mw
+            );
+        }
     }
 
     #[test]

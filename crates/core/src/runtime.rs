@@ -56,29 +56,6 @@ pub enum RuntimeError {
         /// Samples per frame.
         frame_len: usize,
     },
-    /// The modeled per-FIFO parity check caught a flipped bit in a PE's
-    /// output FIFO. The queued data is poisoned; recover by restoring the
-    /// stream from a checkpoint.
-    FifoParity {
-        /// Slot whose output FIFO tripped parity.
-        slot: usize,
-        /// Bit index the injected upset targeted.
-        bit: u32,
-    },
-    /// The modeled FIFO overflow flag tripped under injected occupancy
-    /// pressure — tokens would have been dropped in hardware.
-    FifoOverflow {
-        /// Slot whose adapter FIFO overflowed.
-        slot: usize,
-        /// Occupancy observed when the flag tripped.
-        occupancy: usize,
-    },
-    /// The modeled per-PE output residue code caught transiently corrupted
-    /// compute output before it left the slot.
-    PeResidue {
-        /// Slot whose residue check failed.
-        slot: usize,
-    },
 }
 
 impl From<PeError> for RuntimeError {
@@ -105,69 +82,26 @@ impl std::fmt::Display for RuntimeError {
                     "block of {len} samples is not a multiple of the {frame_len}-sample frame"
                 )
             }
-            Self::FifoParity { slot, bit } => {
-                write!(
-                    f,
-                    "parity check caught flipped bit {bit} in slot {slot}'s FIFO"
-                )
-            }
-            Self::FifoOverflow { slot, occupancy } => {
-                write!(
-                    f,
-                    "FIFO overflow flag tripped at slot {slot} (occupancy {occupancy})"
-                )
-            }
-            Self::PeResidue { slot } => {
-                write!(f, "residue code caught corrupted output at slot {slot}")
-            }
         }
     }
 }
 
 impl std::error::Error for RuntimeError {}
 
-/// One deterministic hardware fault, injected between frames through
+/// One deterministic fault in the fabric the controller programs over
+/// MMIO, injected between frames through
 /// [`crate::HaloSystem::inject_faults`].
 ///
-/// Data-plane corruptions ([`FaultAction::FifoBitFlip`],
-/// [`FaultAction::FifoOverflow`], [`FaultAction::PeOutputCorrupt`]) model
-/// the integrity checks real silicon carries — FIFO parity, overflow
-/// flags, residue codes — so injection *detects at the point of damage*
-/// and surfaces a typed [`RuntimeError`] before anything corrupt reaches
-/// the radio. [`FaultAction::RogueMmio`] is caught by the fabric's
-/// validation pass; [`FaultAction::LinkDegrade`] is non-corrupting on a
-/// circuit-switched fabric and only charges stall cycles.
+/// [`FaultAction::RogueMmio`] is caught by the fabric's validation pass;
+/// [`FaultAction::LinkDegrade`] is non-corrupting on a circuit-switched
+/// fabric and only charges stall cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Flip one bit of the oldest token queued in `slot`'s output FIFO
-    /// (single-event upset). Detected by the modeled parity check.
-    FifoBitFlip {
-        /// Target PE slot.
-        slot: usize,
-        /// Bit index (reduced modulo the token's payload width).
-        bit: u32,
-    },
-    /// Assert overflow pressure on `slot`'s output FIFO. Detected by the
-    /// modeled overflow flag whenever the FIFO holds data.
-    FifoOverflow {
-        /// Target PE slot.
-        slot: usize,
-    },
-    /// Transiently corrupt `slot`'s most recent compute output. Detected
-    /// by the modeled per-PE residue code.
-    PeOutputCorrupt {
-        /// Target PE slot.
-        slot: usize,
-        /// Bit index (reduced modulo the token's payload width).
-        bit: u32,
-    },
-    /// Degrade one fabric link: the SEND-ACK handshake retries for
+    /// Degrade the link into one PE: the SEND-ACK handshake retries for
     /// `stall_cycles` consumer cycles. Circuit-switched links never
     /// corrupt in this model, so outputs are unchanged — the cost shows
     /// up in stall telemetry only.
     LinkDegrade {
-        /// Producer end of the link.
-        from: NodeId,
         /// Consumer end of the link.
         to: NodeId,
         /// Stall cycles charged to the consumer.
@@ -186,9 +120,6 @@ impl FaultAction {
     /// Short stable label for telemetry and triage JSON.
     pub fn name(&self) -> &'static str {
         match self {
-            Self::FifoBitFlip { .. } => "fifo_bit_flip",
-            Self::FifoOverflow { .. } => "fifo_overflow",
-            Self::PeOutputCorrupt { .. } => "pe_output_corrupt",
             Self::LinkDegrade { .. } => "link_degrade",
             Self::RogueMmio { .. } => "rogue_mmio",
         }
@@ -197,19 +128,14 @@ impl FaultAction {
     /// Primary slot the fault targets, or `u8::MAX` for fabric-wide ones.
     pub fn slot(&self) -> u8 {
         match self {
-            Self::FifoBitFlip { slot, .. }
-            | Self::FifoOverflow { slot }
-            | Self::PeOutputCorrupt { slot, .. } => (*slot).min(u8::MAX as usize) as u8,
             Self::LinkDegrade { to, .. } => to.0.min(u8::MAX as usize) as u8,
             Self::RogueMmio { .. } => u8::MAX,
         }
     }
 
-    /// Scalar detail for telemetry (bit index / stall cycles / raw word).
+    /// Scalar detail for telemetry (stall cycles / raw word).
     pub fn detail(&self) -> u64 {
         match self {
-            Self::FifoBitFlip { bit, .. } | Self::PeOutputCorrupt { bit, .. } => *bit as u64,
-            Self::FifoOverflow { .. } => 0,
             Self::LinkDegrade { stall_cycles, .. } => *stall_cycles,
             Self::RogueMmio { word } => *word as u64,
         }
@@ -852,48 +778,11 @@ impl Runtime {
     }
 
     /// Injects one fault between frames, before the next frame's samples
-    /// are ingested. Data-plane corruptions return the typed error the
-    /// modeled integrity check raises at the point of damage; a fault
-    /// landing on empty state (e.g. a bit flip in an empty FIFO) is
-    /// physically harmless and returns `Ok`.
+    /// are ingested: a link degradation charges its stall cycles, a rogue
+    /// switch word returns the error the fabric's re-validation raises.
     pub(crate) fn apply_fault(&mut self, action: &FaultAction) -> Result<(), RuntimeError> {
         match *action {
-            FaultAction::FifoBitFlip { slot, bit } => {
-                let Some(pe) = self.pes.get_mut(slot) else {
-                    return Err(RuntimeError::NoSuchNode(NodeId(slot)));
-                };
-                if pe.output_fifo_mut().flip_front_bit(bit) {
-                    Err(RuntimeError::FifoParity { slot, bit })
-                } else {
-                    Ok(())
-                }
-            }
-            FaultAction::FifoOverflow { slot } => {
-                let Some(pe) = self.pes.get(slot) else {
-                    return Err(RuntimeError::NoSuchNode(NodeId(slot)));
-                };
-                let occupancy = pe.output_fifo().len();
-                if occupancy > 0 {
-                    Err(RuntimeError::FifoOverflow { slot, occupancy })
-                } else {
-                    Ok(())
-                }
-            }
-            FaultAction::PeOutputCorrupt { slot, bit } => {
-                let Some(pe) = self.pes.get_mut(slot) else {
-                    return Err(RuntimeError::NoSuchNode(NodeId(slot)));
-                };
-                if pe.output_fifo_mut().flip_front_bit(bit) {
-                    Err(RuntimeError::PeResidue { slot })
-                } else {
-                    Ok(())
-                }
-            }
-            FaultAction::LinkDegrade {
-                from: _,
-                to,
-                stall_cycles,
-            } => {
+            FaultAction::LinkDegrade { to, stall_cycles } => {
                 if to.0 >= self.pes.len() {
                     return Err(RuntimeError::NoSuchNode(to));
                 }

@@ -429,11 +429,14 @@ impl HaloSystem {
     ///
     /// # Errors
     ///
-    /// Returns the first integrity error an action raised as
-    /// [`SystemError::Runtime`] (also reported to the attached health
-    /// monitor's flight recorder). A fault landing on empty state is
-    /// harmless and raises none.
+    /// Returns the first error an action raised as [`SystemError::Runtime`]
+    /// (also reported to the attached health monitor's flight recorder),
+    /// and [`SystemError::Finished`], without applying anything, after
+    /// [`HaloSystem::finalize`].
     pub fn inject_faults(&mut self, faults: &[FaultAction]) -> Result<(), SystemError> {
+        if self.runtime.finished() {
+            return Err(SystemError::Finished);
+        }
         let frame = self.runtime.frames();
         let mut first = Ok(());
         for action in faults {
@@ -616,6 +619,7 @@ impl HaloSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halo_noc::{NodeId, Route};
     use halo_signal::{RecordingConfig, RegionProfile};
 
     fn recording(channels: usize, ms: usize, seed: u64) -> Recording {
@@ -693,9 +697,10 @@ mod tests {
         assert!(matches!(sys.finalize(), Err(SystemError::Finished)));
     }
 
-    /// Samples after `finalize` are refused with the same error instead of
-    /// tripping the runtime's assertion; a reconfiguration starts a new
-    /// stream that takes them.
+    /// Samples and faults after `finalize` are refused with the same error
+    /// instead of tripping the runtime's assertion or touching the finished
+    /// ledger and fabric; a reconfiguration starts a new stream that takes
+    /// them.
     #[test]
     fn push_after_finalize_is_a_typed_error() {
         let config = HaloConfig::small_test(4);
@@ -707,6 +712,27 @@ mod tests {
             Err(SystemError::Finished)
         ));
         assert!(matches!(sys.process(&rec), Err(SystemError::Finished)));
+        let stalls = sys.runtime().slot_totals()[0].stall_cycles;
+        let words = sys.runtime().fabric().encoded_routes();
+        let late = [
+            FaultAction::LinkDegrade {
+                to: NodeId(0),
+                stall_cycles: 500,
+            },
+            FaultAction::RogueMmio {
+                word: Fabric::encode_route(Route {
+                    from: NodeId(0),
+                    to: NodeId(0xE1),
+                    to_port: 0,
+                }),
+            },
+        ];
+        assert!(matches!(
+            sys.inject_faults(&late),
+            Err(SystemError::Finished)
+        ));
+        assert_eq!(sys.runtime().slot_totals()[0].stall_cycles, stalls);
+        assert_eq!(sys.runtime().fabric().encoded_routes(), words);
         sys.reconfigure(Task::EncryptRaw).unwrap();
         sys.process(&rec).unwrap();
     }

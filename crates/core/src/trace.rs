@@ -8,9 +8,6 @@
 //! configuration or fabric differs from capture time, re-drives the exact
 //! input, and reports whether every output is bit-identical — the
 //! simulator is deterministic, so any divergence is a regression.
-//! Both are built from two halves a mid-run checkpoint uses too:
-//! [`snapshot`] freezes a stream into a log, and [`rebuild`] builds the
-//! device a log came from.
 
 use halo_signal::Recording;
 use halo_telemetry::replay::verify;
@@ -41,14 +38,9 @@ pub enum ReplayError {
         /// Switch words the rebuilt system programmed.
         got: Vec<u32>,
     },
-    /// The rebuilt system failed to configure or stream.
+    /// The rebuilt system refused the log's channel count, or failed to
+    /// configure or stream.
     System(SystemError),
-    /// Re-driving a mid-run log's samples did not reproduce its outputs
-    /// byte for byte — a determinism regression.
-    Diverged {
-        /// Which output diverged.
-        what: &'static str,
-    },
 }
 
 impl From<SystemError> for ReplayError {
@@ -72,7 +64,6 @@ impl std::fmt::Display for ReplayError {
                 expected.len()
             ),
             Self::System(e) => write!(f, "{e}"),
-            Self::Diverged { what } => write!(f, "replay diverged from the logged {what}"),
         }
     }
 }
@@ -93,43 +84,6 @@ fn stim_records(metrics: &TaskMetrics) -> Vec<StimRecord> {
         .collect()
 }
 
-/// A [`TraceLog`] of `system`'s task, configuration fingerprint and
-/// switch words, the frame-major `samples` it consumed, and the outputs
-/// it produced from them.
-fn log(
-    system: &HaloSystem,
-    samples: &[i16],
-    radio: &[u8],
-    mcu_flags: &[(u64, bool)],
-    stim: Vec<StimRecord>,
-) -> TraceLog {
-    TraceLog {
-        task: system.task().label().to_string(),
-        config_fingerprint: system.config().fingerprint(),
-        channels: system.config().channels as u32,
-        sample_rate_hz: system.config().sample_rate_hz,
-        switch_words: system.runtime().fabric().encoded_routes(),
-        samples: samples.to_vec(),
-        radio: radio.to_vec(),
-        mcu_flags: mcu_flags.to_vec(),
-        stim,
-    }
-}
-
-/// Freezes `system`'s unfinished stream so far as a [`TraceLog`] without
-/// stimulation records: the radio stream and MCU flags come from its
-/// runtime, which still holds them.
-pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
-    let runtime = system.runtime();
-    log(
-        system,
-        samples,
-        runtime.radio_stream(),
-        runtime.mcu_flags(),
-        Vec::new(),
-    )
-}
-
 /// Captures a finished run as a replayable [`TraceLog`].
 ///
 /// Call after [`HaloSystem::process`] returned `metrics` for `recording`
@@ -138,25 +92,36 @@ pub fn snapshot(system: &HaloSystem, samples: &[i16]) -> TraceLog {
 /// carries (radio bytes, MCU flags, stimulation events) so [`replay`] can
 /// verify bit-identity.
 pub fn capture(system: &HaloSystem, recording: &Recording, metrics: &TaskMetrics) -> TraceLog {
-    log(
-        system,
-        recording.samples(),
-        &metrics.radio_stream,
-        &metrics.detections,
-        stim_records(metrics),
-    )
+    TraceLog {
+        task: system.task().label().to_string(),
+        config_fingerprint: system.config().fingerprint(),
+        channels: system.config().channels as u32,
+        sample_rate_hz: system.config().sample_rate_hz,
+        switch_words: system.runtime().fabric().encoded_routes(),
+        samples: recording.samples().to_vec(),
+        radio: metrics.radio_stream.clone(),
+        mcu_flags: metrics.detections.clone(),
+        stim: stim_records(metrics),
+    }
 }
 
-/// Builds the fresh, unstreamed device `log` was taken from: looks its
-/// task up, and refuses a `config` whose fingerprint differs from the
-/// log's or whose pipeline programs different switch words.
+/// Replays a captured log through a freshly built system and verifies
+/// the outputs byte-for-byte.
+///
+/// `config` must be equivalent to the capture-time configuration (same
+/// fingerprint) — replay is only meaningful against the same device
+/// setup. Returns the fresh run's metrics alongside the comparison
+/// report; [`ReplayReport::identical`] is the determinism verdict.
 ///
 /// # Errors
 ///
-/// Returns [`ReplayError`] if the log names an unknown task, the
-/// configuration or fabric differs from capture time, or the system
-/// fails to configure.
-pub fn rebuild(log: &TraceLog, config: HaloConfig) -> Result<HaloSystem, ReplayError> {
+/// Returns [`ReplayError`] if the log names an unknown task, if the
+/// configuration, channel count or fabric differs from capture time, or
+/// if the rebuilt system fails to stream the logged samples.
+pub fn replay(
+    log: &TraceLog,
+    config: HaloConfig,
+) -> Result<(TaskMetrics, ReplayReport), ReplayError> {
     let task =
         Task::from_label(&log.task).ok_or_else(|| ReplayError::UnknownTask(log.task.clone()))?;
     let fingerprint = config.fingerprint();
@@ -166,7 +131,14 @@ pub fn rebuild(log: &TraceLog, config: HaloConfig) -> Result<HaloSystem, ReplayE
             got: fingerprint,
         });
     }
-    let system = HaloSystem::new(task, config)?;
+    if log.channels as usize != config.channels {
+        return Err(SystemError::GeometryMismatch {
+            expected: config.channels,
+            got: log.channels as usize,
+        }
+        .into());
+    }
+    let mut system = HaloSystem::new(task, config)?;
     let programmed = system.runtime().fabric().encoded_routes();
     if programmed != log.switch_words {
         return Err(ReplayError::FabricMismatch {
@@ -174,32 +146,8 @@ pub fn rebuild(log: &TraceLog, config: HaloConfig) -> Result<HaloSystem, ReplayE
             got: programmed,
         });
     }
-    Ok(system)
-}
-
-/// Replays a captured log through a freshly [`rebuild`]t system and
-/// verifies the outputs byte-for-byte.
-///
-/// `config` must be equivalent to the capture-time configuration (same
-/// fingerprint) — replay is only meaningful against the same device
-/// setup. Returns the fresh run's metrics alongside the comparison
-/// report; [`ReplayReport::identical`] is the determinism verdict.
-///
-/// # Errors
-///
-/// Returns [`ReplayError`] if [`rebuild`] refuses the log or the rebuilt
-/// system fails to stream.
-pub fn replay(
-    log: &TraceLog,
-    config: HaloConfig,
-) -> Result<(TaskMetrics, ReplayReport), ReplayError> {
-    let mut system = rebuild(log, config)?;
-    let recording = Recording::from_samples(
-        log.samples.clone(),
-        log.channels as usize,
-        log.sample_rate_hz,
-    );
-    let metrics = system.process(&recording)?;
+    system.push_block(&log.samples)?;
+    let metrics = system.finalize()?;
     let stim = stim_records(&metrics);
     let report = verify(log, &metrics.radio_stream, &metrics.detections, &stim);
     Ok((metrics, report))

@@ -7,16 +7,8 @@
 //! * **Fabric faults** (rogue MMIO words, and faults targeting slots
 //!   the current pipeline does not have) are repaired *in place*: the
 //!   harness clears the switch matrix and reprograms the captured legal
-//!   words through the ordinary MMIO path. No frames are lost.
-//! * **Data-plane corruption** (FIFO parity, overflow pressure, PE
-//!   residue errors) would be recovered by **checkpoint/restore**: the
-//!   integrity error fires before the damaged frame is ingested, so a
-//!   [`Checkpoint`] taken at the failure names the exact resume point;
-//!   restore proves byte-identity of all replayed outputs. Faults are
-//!   injected at frame boundaries, though, where propagation has drained
-//!   every output FIFO, so these three classes always land on empty state
-//!   and are harmless: no plan raises their errors, and this path is
-//!   exercised only by tests that call it directly.
+//!   words through the ordinary MMIO path. No frames are lost. Link
+//!   degradations only charge stall cycles and need no repair.
 //! * **Radio losses** ride the ARQ link: drops and CRC-rejected frames
 //!   retransmit with exponential backoff; exhausted retries mark the
 //!   session degraded rather than silently losing data.
@@ -41,7 +33,6 @@ use halo_noc::Fabric;
 use halo_signal::{Recording, RecordingConfig, RegionProfile};
 use halo_telemetry::{HealthConfig, HealthMonitor, Recorder};
 
-use crate::checkpoint::Checkpoint;
 use crate::degraded::{DegradedSupervisor, SupervisorAction};
 use crate::plan::{FaultPlan, FaultPlanConfig};
 
@@ -71,19 +62,14 @@ impl Outcome {
     }
 }
 
-/// One successful recovery action.
+/// One in-place fabric repair: the switch matrix reprogrammed with the
+/// running pipeline's legal words, redoing no frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryEvent {
     /// Global frame at which the fault surfaced.
     pub frame: u64,
     /// The detected fault's class label.
     pub kind: &'static str,
-    /// Recovery strategy applied (`fabric_reprogram` or
-    /// `checkpoint_restore`).
-    pub strategy: &'static str,
-    /// Time to recovery in frames: work redone to get back to the
-    /// failure point (zero for in-place repairs).
-    pub ttr_frames: u64,
 }
 
 /// Configuration for one chaos session.
@@ -151,8 +137,8 @@ pub struct ChaosReport {
     pub frames: u64,
     /// Faults the harness actually injected.
     pub faults_injected: usize,
-    /// Injected faults that raised a typed integrity error (the rest
-    /// landed on empty state and were physically harmless).
+    /// Injected faults that raised a typed error (the rest are link
+    /// degradations, which only charge stall cycles).
     pub faults_detected: usize,
     /// Every recovery performed, in order.
     pub recoveries: Vec<RecoveryEvent>,
@@ -174,24 +160,13 @@ pub struct ChaosReport {
     pub postmortem: Option<String>,
 }
 
-/// Classification of a runtime error surfaced during chaos.
-enum FaultClass {
-    /// Recoverable in place by reprogramming the fabric.
-    Fabric(&'static str),
-    /// Recoverable by checkpoint/restore.
-    DataPlane(&'static str),
-    /// Not a modeled fault — unrecoverable.
-    Unknown,
-}
-
-fn classify(e: &RuntimeError) -> FaultClass {
+/// The class label of a runtime error the fabric repair recovers, or
+/// `None` for one that is not a modeled fault.
+fn fabric_fault(e: &RuntimeError) -> Option<&'static str> {
     match e {
-        RuntimeError::FifoParity { .. } => FaultClass::DataPlane("fifo_bit_flip"),
-        RuntimeError::FifoOverflow { .. } => FaultClass::DataPlane("fifo_overflow"),
-        RuntimeError::PeResidue { .. } => FaultClass::DataPlane("pe_output_corrupt"),
-        RuntimeError::Fabric(_) => FaultClass::Fabric("rogue_mmio"),
-        RuntimeError::NoSuchNode(_) => FaultClass::Fabric("no_such_node"),
-        _ => FaultClass::Unknown,
+        RuntimeError::Fabric(_) => Some("rogue_mmio"),
+        RuntimeError::NoSuchNode(_) => Some("no_such_node"),
+        _ => None,
     }
 }
 
@@ -262,13 +237,12 @@ impl ChaosSession {
 
         let recorder = Arc::new(Recorder::new(cfg.event_capacity));
         let monitor = Arc::new(HealthMonitor::new(recorder, HealthConfig::default()));
-        let mut system = HaloSystem::new(cfg.task, halo_config.clone())?;
+        let mut system = HaloSystem::new(cfg.task, halo_config)?;
         system.attach_health(monitor.clone());
         system.set_block_dispatch(cfg.block_dispatch);
 
         let mut engine = Engine {
             cfg,
-            halo_config,
             recording: &recording,
             total_frames,
             injected: 0,
@@ -300,7 +274,6 @@ impl ChaosSession {
 /// Mutable state of one running chaos session.
 struct Engine<'a> {
     cfg: &'a ChaosConfig,
-    halo_config: HaloConfig,
     recording: &'a Recording,
     total_frames: u64,
     /// Plan faults injected so far: the schedule is sorted by frame, so
@@ -371,7 +344,7 @@ impl Engine<'_> {
     /// error leaves its frame unconsumed and its faults counted as
     /// injected, so the loop restarts at that frame once it recovers.
     fn push_batch(&mut self, mut at: u64, end: u64) -> Result<(), SystemError> {
-        let channels = self.halo_config.channels;
+        let channels = self.cfg.channels;
         while at < end {
             let due: Vec<FaultAction> = self.plan.schedule[self.injected..]
                 .iter()
@@ -430,53 +403,28 @@ impl Engine<'_> {
         }
     }
 
-    /// Recovers from a detected fault. The error fired before the
-    /// damaged frame's samples were ingested, so `frames()` names the
-    /// exact resume point in both recovery strategies.
+    /// Recovers from a detected fault in place: tears down whatever the
+    /// rogue write left behind and reprograms the captured legal words.
+    /// The error fired before the frame's samples were ingested, so the
+    /// stream resumes at that frame.
     fn recover(&mut self, e: RuntimeError) {
         let fault_frame = self.global_frame();
         self.faults_detected += 1;
-        match classify(&e) {
-            FaultClass::Fabric(kind) => {
-                // In-place repair: tear down whatever the rogue write
-                // left behind and reprogram the captured legal words.
-                let words = self.legal_words.clone();
-                let fabric = self.system.runtime_mut().fabric_mut();
-                let repaired = fabric
-                    .program(Fabric::WORD_CLEAR)
-                    .and_then(|()| words.iter().try_for_each(|&w| fabric.program(w)));
-                match repaired {
-                    Ok(()) => self.recoveries.push(RecoveryEvent {
-                        frame: fault_frame,
-                        kind,
-                        strategy: "fabric_reprogram",
-                        ttr_frames: 0,
-                    }),
-                    Err(fe) => self.dead = Some(format!("fabric repair failed: {fe}")),
-                }
-            }
-            FaultClass::DataPlane(kind) => {
-                let channels = self.halo_config.channels;
-                let consumed = self.system.runtime().frames();
-                let lo = self.frame_base as usize * channels;
-                let hi = lo + consumed as usize * channels;
-                let checkpoint =
-                    Checkpoint::snapshot(&self.system, &self.recording.samples()[lo..hi]);
-                match checkpoint.restore(self.halo_config.clone(), self.cfg.block_dispatch) {
-                    Ok(fresh) => {
-                        self.system = fresh;
-                        self.system.attach_health(self.monitor.clone());
-                        self.recoveries.push(RecoveryEvent {
-                            frame: fault_frame,
-                            kind,
-                            strategy: "checkpoint_restore",
-                            ttr_frames: consumed,
-                        });
-                    }
-                    Err(ce) => self.dead = Some(format!("checkpoint restore failed: {ce}")),
-                }
-            }
-            FaultClass::Unknown => self.dead = Some(e.to_string()),
+        let Some(kind) = fabric_fault(&e) else {
+            self.dead = Some(e.to_string());
+            return;
+        };
+        let words = self.legal_words.clone();
+        let fabric = self.system.runtime_mut().fabric_mut();
+        let repaired = fabric
+            .program(Fabric::WORD_CLEAR)
+            .and_then(|()| words.iter().try_for_each(|&w| fabric.program(w)));
+        match repaired {
+            Ok(()) => self.recoveries.push(RecoveryEvent {
+                frame: fault_frame,
+                kind,
+            }),
+            Err(fe) => self.dead = Some(format!("fabric repair failed: {fe}")),
         }
     }
 
@@ -607,7 +555,6 @@ mod tests {
     fn base_config(task: Task) -> ChaosConfig {
         let mut cfg = ChaosConfig::new(task);
         cfg.block_bytes = 512;
-        cfg.plan.data_faults = 4;
         cfg.plan.rogue_mmio = 2;
         cfg.plan.link_faults = 1;
         cfg.plan.radio_drop_permille = 250;
@@ -626,14 +573,11 @@ mod tests {
             "reason: {:?}",
             report.reason
         );
-        assert!(report.faults_injected >= 6);
-        // The rogue MMIO words are always detected; some data-plane
-        // faults land on live FIFOs and force checkpoint restores.
-        assert!(report.faults_detected >= 2, "report: {report:?}");
-        assert!(report
-            .recoveries
-            .iter()
-            .any(|r| r.strategy == "fabric_reprogram"));
+        assert_eq!(report.faults_injected, 3);
+        // Both rogue MMIO words are detected and repaired in place; the
+        // link degradation only charges stall cycles.
+        assert_eq!(report.faults_detected, 2, "report: {report:?}");
+        assert_eq!(report.recoveries.len(), 2, "report: {report:?}");
         assert!(report.arq.retries > 0, "lossy channel must retry");
         assert_eq!(report.arq.giveups, 0);
         assert!(report.postmortem.is_some(), "faults latch a post-mortem");
@@ -655,7 +599,6 @@ mod tests {
     #[test]
     fn brownout_forces_fallback_and_marks_degraded() {
         let mut cfg = base_config(Task::SeizurePrediction);
-        cfg.plan.data_faults = 0;
         cfg.plan.rogue_mmio = 0;
         cfg.plan.link_faults = 0;
         cfg.plan.radio_drop_permille = 0;
@@ -678,7 +621,6 @@ mod tests {
     #[test]
     fn faultless_plan_is_recovered_with_clean_counters() {
         let mut cfg = ChaosConfig::new(Task::EncryptRaw);
-        cfg.plan.data_faults = 0;
         cfg.plan.rogue_mmio = 0;
         cfg.plan.link_faults = 0;
         cfg.plan.radio_drop_permille = 0;

@@ -6,15 +6,12 @@
 //! replayable bit-for-bit:
 //!
 //! * [`plan`] — [`FaultPlan`] generates a declarative, seeded schedule
-//!   of device faults (FIFO bit flips and overflow pressure, transient
-//!   PE output corruption, NoC link degradation, rogue MMIO switch
-//!   words), brownout windows, and a radio loss model from one seed.
+//!   of fabric faults (NoC link degradation, rogue MMIO switch words),
+//!   brownout windows, and a radio loss model from one seed.
 //!   The radio loss model drives a
 //!   [`LossyChannel`](halo_core::LossyChannel) under the core ARQ link:
 //!   sequence numbers, CRC-16, bounded retransmission with exponential
 //!   backoff.
-//! * [`checkpoint`] — [`Checkpoint`] snapshots a run mid-flight on the
-//!   binary-stable trace-log format and restores it byte-identically.
 //! * [`degraded`] — [`DegradedSupervisor`] swaps to a registered
 //!   low-power fallback pipeline when a brownout shrinks the budget,
 //!   and restores the primary when the envelope recovers.
@@ -26,16 +23,14 @@
 //! This crate alone decides when a fault fires. The device half — the
 //! one call that applies faults
 //! ([`HaloSystem::inject_faults`](halo_core::HaloSystem::inject_faults)),
-//! the typed integrity errors, and the `EventKind::Fault` telemetry —
+//! the typed errors, and the `EventKind::Fault` telemetry —
 //! lives in `halo-core`/`halo-telemetry` and costs the streaming runtime
 //! nothing. Fleet-scale campaigns live in `halo-fleet`.
 
-pub mod checkpoint;
 pub mod degraded;
 pub mod harness;
 pub mod plan;
 
-pub use checkpoint::Checkpoint;
 pub use degraded::{DegradedSupervisor, SupervisorAction};
 pub use harness::{ChaosConfig, ChaosReport, ChaosSession, Outcome, RecoveryEvent};
 pub use plan::{BrownoutWindow, FaultPlan, FaultPlanConfig, RadioPlan, ScheduledFault};

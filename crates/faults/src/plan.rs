@@ -36,9 +36,6 @@ pub struct FaultPlanConfig {
     /// Number of PE slots in the target pipeline (fault targets are
     /// drawn from `0..pe_slots`).
     pub pe_slots: u8,
-    /// Data-plane faults: FIFO bit flips, FIFO overflow pressure, and
-    /// transient PE output corruption, drawn uniformly.
-    pub data_faults: u32,
     /// Rogue MMIO switch words (well-formed but routing off the array).
     pub rogue_mmio: u32,
     /// NoC link degradations (extra stall cycles on one link).
@@ -63,7 +60,6 @@ impl Default for FaultPlanConfig {
             seed: 0x5EED_FA17,
             frames: 1024,
             pe_slots: 3,
-            data_faults: 3,
             rogue_mmio: 1,
             link_faults: 1,
             brownouts: 0,
@@ -124,22 +120,6 @@ impl FaultPlan {
         let mut rng = SimRng::new(config.seed);
         let horizon = config.frames.max(2);
         let mut schedule = Vec::new();
-        for _ in 0..config.data_faults {
-            let frame = rng.range_u64(1, horizon);
-            let slot = rng.range_u64(0, config.pe_slots.max(1) as u64) as usize;
-            let action = match rng.range_u64(0, 3) {
-                0 => FaultAction::FifoBitFlip {
-                    slot,
-                    bit: rng.range_u64(0, 64) as u32,
-                },
-                1 => FaultAction::FifoOverflow { slot },
-                _ => FaultAction::PeOutputCorrupt {
-                    slot,
-                    bit: rng.range_u64(0, 64) as u32,
-                },
-            };
-            schedule.push(ScheduledFault { frame, action });
-        }
         for _ in 0..config.rogue_mmio {
             let frame = rng.range_u64(1, horizon);
             schedule.push(ScheduledFault {
@@ -151,13 +131,10 @@ impl FaultPlan {
         }
         for _ in 0..config.link_faults {
             let frame = rng.range_u64(1, horizon);
-            let n = config.pe_slots.max(2) as u64;
-            let to = rng.range_u64(0, n) as usize;
-            let from = (to + 1) % n as usize;
+            let to = rng.range_u64(0, config.pe_slots.max(2) as u64) as usize;
             schedule.push(ScheduledFault {
                 frame,
                 action: FaultAction::LinkDegrade {
-                    from: NodeId(from),
                     to: NodeId(to),
                     stall_cycles: rng.range_u64(100, 10_000),
                 },
@@ -231,12 +208,10 @@ fn rogue_word(rng: &mut SimRng) -> u32 {
 }
 
 /// Stable per-class code for fingerprinting (labels are stable too, but
-/// a fixed code keeps the hash independent of label spelling).
+/// a fixed code keeps the hash independent of label spelling). Every
+/// pinned plan fingerprint hashes these codes: never renumber them.
 fn fault_code(action: &FaultAction) -> u64 {
     match action {
-        FaultAction::FifoBitFlip { .. } => 1,
-        FaultAction::FifoOverflow { .. } => 2,
-        FaultAction::PeOutputCorrupt { .. } => 3,
         FaultAction::LinkDegrade { .. } => 4,
         FaultAction::RogueMmio { .. } => 5,
     }
@@ -293,14 +268,13 @@ mod tests {
     #[test]
     fn schedule_is_sorted_and_in_horizon() {
         let config = FaultPlanConfig {
-            data_faults: 16,
             rogue_mmio: 4,
             link_faults: 4,
             frames: 500,
             ..FaultPlanConfig::default()
         };
         let plan = FaultPlan::generate(&config);
-        assert_eq!(plan.schedule.len(), 24);
+        assert_eq!(plan.schedule.len(), 8);
         let frames: Vec<u64> = plan.schedule.iter().map(|f| f.frame).collect();
         let mut sorted = frames.clone();
         sorted.sort_unstable();

@@ -3,8 +3,8 @@
 //! A campaign runs N independent [`ChaosSession`]s concurrently — each
 //! with its own pipeline, fault plan, and synthetic patient — and rolls
 //! the verdicts into one triage document: per-session outcome
-//! (recovered / degraded / dead), fleet totals, ARQ counters, and a
-//! time-to-recovery histogram. Every per-session seed derives from the
+//! (recovered / degraded / dead), fleet totals, ARQ counters, and the
+//! in-place fabric repairs. Every per-session seed derives from the
 //! single campaign seed, so the same seed replays the same schedules
 //! and the same triage JSON bit-for-bit, regardless of worker count.
 //!
@@ -20,17 +20,6 @@ use halo_signal::SimRng;
 use halo_telemetry::json;
 
 use crate::scheduler::resolve_threads;
-
-/// Upper edges (exclusive) of the time-to-recovery histogram buckets,
-/// in frames; the last bucket is unbounded. Zero frames means an
-/// in-place repair that redid no work.
-pub const TTR_BUCKETS: [(&str, u64); 5] = [
-    ("0", 1),
-    ("1-31", 32),
-    ("32-255", 256),
-    ("256-1023", 1024),
-    ("1024+", u64::MAX),
-];
 
 /// Configuration for one chaos campaign.
 #[derive(Debug, Clone)]
@@ -49,9 +38,6 @@ pub struct CampaignConfig {
     pub batch_frames: usize,
     /// Worker threads (0 = auto).
     pub threads: usize,
-    /// Data-plane faults per session (FIFO bit flips, overflow
-    /// pressure, PE output corruption).
-    pub data_faults: u32,
     /// Rogue MMIO switch words per session.
     pub rogue_mmio: u32,
     /// NoC link-degradation faults per session.
@@ -78,7 +64,6 @@ impl Default for CampaignConfig {
             duration_ms: 40,
             batch_frames: 32,
             threads: 0,
-            data_faults: 3,
             rogue_mmio: 1,
             link_faults: 1,
             brownout_every: 4,
@@ -132,7 +117,6 @@ impl CampaignConfig {
                 cfg.block_bytes = self.block_bytes;
                 cfg.recording_seed = recording_seed;
                 cfg.plan.seed = plan_seed;
-                cfg.plan.data_faults = self.data_faults;
                 cfg.plan.rogue_mmio = self.rogue_mmio;
                 cfg.plan.link_faults = self.link_faults;
                 cfg.plan.radio_drop_permille = self.radio_drop_permille;
@@ -290,20 +274,6 @@ pub fn totals(reports: &[CampaignSessionReport]) -> CampaignTotals {
     t
 }
 
-fn ttr_histogram(reports: &[CampaignSessionReport]) -> [u64; TTR_BUCKETS.len()] {
-    let mut counts = [0u64; TTR_BUCKETS.len()];
-    for r in reports.iter().filter_map(|r| r.report.as_ref().ok()) {
-        for rec in &r.recoveries {
-            let bucket = TTR_BUCKETS
-                .iter()
-                .position(|(_, hi)| rec.ttr_frames < *hi)
-                .unwrap_or(TTR_BUCKETS.len() - 1);
-            counts[bucket] += 1;
-        }
-    }
-    counts
-}
-
 fn hex64(v: u64) -> String {
     json::string(&format!("{v:#018x}"))
 }
@@ -314,25 +284,14 @@ fn hex64(v: u64) -> String {
 /// tests with [`json::parse`] and a cross-thread-count comparison).
 pub fn render_campaign(config: &CampaignConfig, reports: &[CampaignSessionReport]) -> String {
     let t = totals(reports);
-    let histogram = ttr_histogram(reports);
     let mut injected = 0usize;
     let mut detected = 0usize;
     let mut fabric_repairs = 0usize;
-    let mut restores = 0usize;
     let mut arq = [0u64; 6];
     for r in reports.iter().filter_map(|r| r.report.as_ref().ok()) {
         injected += r.faults_injected;
         detected += r.faults_detected;
-        fabric_repairs += r
-            .recoveries
-            .iter()
-            .filter(|e| e.strategy == "fabric_reprogram")
-            .count();
-        restores += r
-            .recoveries
-            .iter()
-            .filter(|e| e.strategy == "checkpoint_restore")
-            .count();
+        fabric_repairs += r.recoveries.len();
         for (slot, v) in arq.iter_mut().zip([
             r.arq.accepted,
             r.arq.retries,
@@ -357,24 +316,12 @@ pub fn render_campaign(config: &CampaignConfig, reports: &[CampaignSessionReport
         "  \"faults\": {{\"injected\": {injected}, \"detected\": {detected}}},\n"
     ));
     out.push_str(&format!(
-        "  \"recoveries\": {{\"fabric_reprogram\": {fabric_repairs}, \"checkpoint_restore\": {restores}}},\n"
+        "  \"recoveries\": {{\"fabric_reprogram\": {fabric_repairs}}},\n"
     ));
     out.push_str(&format!(
         "  \"arq\": {{\"accepted\": {}, \"retries\": {}, \"giveups\": {}, \"crc_rejects\": {}, \"duplicates\": {}, \"delivered\": {}}},\n",
         arq[0], arq[1], arq[2], arq[3], arq[4], arq[5]
     ));
-
-    out.push_str("  \"ttr_histogram\": [");
-    for (i, ((label, _), count)) in TTR_BUCKETS.iter().zip(histogram).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"frames\": {}, \"recoveries\": {count}}}",
-            json::string(label)
-        ));
-    }
-    out.push_str("],\n");
 
     out.push_str("  \"sessions_detail\": [\n");
     for (i, row) in reports.iter().enumerate() {
@@ -475,8 +422,8 @@ mod tests {
 
     #[test]
     fn stock_campaign_ends_recovered_or_degraded() {
-        // One session per stock pipeline, with radio loss, data-plane
-        // corruption, rogue MMIO, and a brownout in the mix.
+        // One session per stock pipeline, with radio loss, rogue MMIO,
+        // link degradation, and a brownout in the mix.
         let config = CampaignConfig::default().sessions(8).duration_ms(30);
         let reports = run_campaign(&config);
         let t = totals(&reports);

@@ -35,8 +35,8 @@
 //! * [`campaign`] — seeded fleet-wide chaos: [`run_campaign`] drives N
 //!   [`halo_faults::ChaosSession`]s concurrently and
 //!   [`render_campaign`] rolls the verdicts into a bit-replayable
-//!   triage document with per-session outcomes and a time-to-recovery
-//!   histogram.
+//!   triage document with per-session outcomes and fleet totals of
+//!   detected faults and in-place repairs.
 //!
 //! Everything is std-only and deterministic: the same fleet seed
 //! produces byte-identical expositions regardless of worker count.

@@ -71,17 +71,6 @@ impl Fifo {
         Some(token)
     }
 
-    /// Flips `bit` of the oldest queued token ([`Token::flip_bit`]) — the
-    /// fault-injection point for modeled FIFO bit flips. Returns whether
-    /// a token was there to flip.
-    pub fn flip_front_bit(&mut self, bit: u32) -> bool {
-        let Some(token) = self.queue.front_mut() else {
-            return false;
-        };
-        token.flip_bit(bit);
-        true
-    }
-
     /// Moves every queued token into `out`, preserving order, and returns
     /// their wire bytes. An empty `out` takes the whole buffer in one swap
     /// and leaves its own (empty) buffer here; give it back with
@@ -169,17 +158,6 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(!f.is_empty());
         assert_eq!(f.wire_bytes(), 4);
-    }
-
-    #[test]
-    fn bit_flip_keeps_the_wire_byte_sum() {
-        let mut f = Fifo::new();
-        assert!(!f.flip_front_bit(0), "nothing to flip");
-        f.push(Token::Byte(1));
-        f.push(Token::Value(2));
-        assert!(f.flip_front_bit(1));
-        assert_eq!(f.wire_bytes(), 9);
-        assert_eq!(f.pop(), Some(Token::Byte(3)));
     }
 
     #[test]

@@ -106,34 +106,6 @@ impl Token {
         }
     }
 
-    /// Flips one payload bit in place — the single-event-upset model the
-    /// fault-injection harness uses. `bit` is reduced modulo the payload
-    /// width, so any index lands deterministically. Control markers
-    /// ([`Token::BlockEnd`]) and ops flip their numeric fields; an empty
-    /// [`Token::Vector`] has no payload and is left unchanged.
-    pub fn flip_bit(&mut self, bit: u32) {
-        fn flip<const N: u32>(v: u64, bit: u32) -> u64 {
-            v ^ (1 << (bit % N))
-        }
-        match self {
-            Token::Sample(s) => *s = flip::<16>(*s as u64, bit) as i16,
-            Token::Byte(b) => *b = flip::<8>(*b as u64, bit) as u8,
-            Token::Flag(f) => *f = !*f,
-            Token::Value(v) => *v = flip::<64>(*v as u64, bit) as i64,
-            Token::Coeff(c) => *c = flip::<32>(*c as u64, bit) as i32,
-            Token::Op(_) => {}
-            Token::Prob { cum, .. } => *cum = flip::<32>(*cum as u64, bit) as u32,
-            Token::Bits { value, .. } => *value = flip::<32>(*value as u64, bit) as u32,
-            Token::BlockEnd { raw_len } => *raw_len = flip::<32>(*raw_len as u64, bit) as u32,
-            Token::Vector(v) => {
-                if !v.is_empty() {
-                    let idx = (bit / 32) as usize % v.len();
-                    v[idx] ^= 1 << (bit % 32);
-                }
-            }
-        }
-    }
-
     /// Payload size on the 8-bit interconnect bus, in bytes — what the
     /// SEND-ACK accounting charges per transfer.
     pub fn wire_bytes(&self) -> usize {

@@ -277,31 +277,6 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Wraps a raw frame-major sample buffer (`data[t * channels + c]`)
-    /// as a recording with no ground-truth labels — the replay path, where
-    /// the samples come from a captured trace log rather than the
-    /// synthesizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is zero or `samples` is not a whole number of
-    /// frames.
-    pub fn from_samples(samples: Vec<i16>, channels: usize, sample_rate: u32) -> Self {
-        assert!(channels > 0, "recording needs at least one channel");
-        assert!(
-            samples.len().is_multiple_of(channels),
-            "sample buffer is not a whole number of {channels}-channel frames"
-        );
-        Self {
-            channels,
-            sample_rate,
-            data: samples,
-            episodes: Vec::new(),
-            spike_truth: vec![Vec::new(); channels],
-            region: "replay",
-        }
-    }
-
     /// Number of channels.
     pub fn channels(&self) -> usize {
         self.channels

@@ -276,7 +276,7 @@ struct WatchdogState {
     /// post-mortems so every failure is attributable to what the chaos
     /// harness did to the device.
     recent_faults: Vec<FaultNote>,
-    /// Total faults injected / detected by an integrity check.
+    /// Total faults injected / detected with a typed error.
     faults_injected: u64,
     faults_detected: u64,
     /// First post-mortem dump, latched until cleared.

@@ -58,19 +58,18 @@ pub enum EventKind {
     /// Free-form annotation (pipeline reconfigured, run boundaries, ...).
     Marker { name: &'static str },
     /// A fault was injected by the chaos harness (see `halo-faults`).
-    /// `detected` says whether a modeled integrity check (FIFO parity,
-    /// residue code, fabric validation) surfaced a typed error at the
-    /// point of damage; an undetected injection landed on empty state and
-    /// was physically harmless. The flight recorder keeps the most recent
-    /// of these so every post-mortem attributes its failure.
+    /// `detected` says whether the fabric's validation surfaced a typed
+    /// error; an undetected injection (a link degradation) only charged
+    /// stall cycles. The flight recorder keeps the most recent of these so
+    /// every post-mortem attributes its failure.
     Fault {
-        /// Stable fault-class label (`fifo_bit_flip`, `rogue_mmio`, ...).
+        /// Stable fault-class label (`link_degrade`, `rogue_mmio`).
         kind: &'static str,
         /// Primary PE slot targeted, or `u8::MAX` for fabric-wide faults.
         slot: u8,
-        /// Class-specific scalar (bit index / stall cycles / raw word).
+        /// Class-specific scalar (stall cycles / raw word).
         detail: u64,
-        /// Whether an integrity check raised a typed error.
+        /// Whether the injection raised a typed error.
         detected: bool,
     },
     /// One span of a sampled causal trace (see [`crate::tracing`]). The

@@ -28,8 +28,8 @@
 //!   on a work-stealing scheduler, with merged Prometheus rollups, health
 //!   triage, cross-session exemplar tracing, and seeded chaos campaigns.
 //! * [`faults`] — deterministic fault injection and automated recovery:
-//!   seeded fault plans, the lossy-radio ARQ channel, checkpoint/restore,
-//!   degraded-mode supervision, and the chaos harness (see
+//!   seeded fault plans, the lossy-radio ARQ channel, in-place fabric
+//!   repair, degraded-mode supervision, and the chaos harness (see
 //!   `docs/robustness.md`).
 //!
 //! # Quick start

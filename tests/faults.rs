@@ -1,16 +1,16 @@
-//! Fault-injection integration: the chaos machinery must behave
-//! identically with the runtime's quiet-frame block dispatch on and
-//! off. Every plan fault must be injected at its own frame (the harness
-//! splits its batches there), and checkpoint recovery must be
-//! byte-identical whichever dispatch mode snapshotted or restored the
-//! run. A golden net pins the campaign
+//! Fault-injection integration: every fault the default plan draws
+//! changes the device it is injected into, and the chaos machinery
+//! behaves identically with the runtime's quiet-frame block dispatch on
+//! and off. Every plan fault must be injected at its own frame (the
+//! harness splits its batches there). A golden net pins the campaign
 //! triage and every latched post-mortem at 1 and 4 workers.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use halo::core::runtime::{FaultAction, RuntimeError};
 use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
-use halo::faults::{ChaosConfig, ChaosSession, Checkpoint, FaultPlan, FaultPlanConfig, Outcome};
+use halo::faults::{ChaosConfig, ChaosSession, FaultPlan, FaultPlanConfig, Outcome};
 use halo::fleet::{campaign, CampaignConfig};
 use halo::noc::{Fabric, NodeId, Route};
 use halo::signal::{RecordingConfig, RegionProfile};
@@ -20,11 +20,10 @@ fn chaos_config(task: Task, block_dispatch: bool) -> ChaosConfig {
     let mut cfg = ChaosConfig::new(task);
     cfg.block_dispatch = block_dispatch;
     cfg.block_bytes = 512;
-    cfg.plan.data_faults = 4;
     cfg.plan.rogue_mmio = 2;
     cfg.plan.link_faults = 1;
-    cfg.plan.radio_drop_permille = 200;
-    cfg.plan.radio_corrupt_permille = 100;
+    cfg.plan.radio_drop_permille = 150;
+    cfg.plan.radio_corrupt_permille = 80;
     cfg
 }
 
@@ -55,7 +54,6 @@ fn plan_faults_are_injected_at_their_own_frames_with_dispatch_on_and_off() {
         for block_dispatch in [true, false] {
             let mut cfg = ChaosConfig::new(task);
             cfg.block_dispatch = block_dispatch;
-            cfg.plan.data_faults = 3;
             cfg.plan.rogue_mmio = 5;
             cfg.plan.link_faults = 1;
             cfg.plan.radio_drop_permille = 0;
@@ -108,49 +106,80 @@ fn chaos_recovers_with_dispatch_on_and_off() {
     assert_eq!(on.plan_fingerprint, off.plan_fingerprint);
     assert_eq!(on.faults_injected, off.faults_injected);
     assert_eq!(on.faults_detected, off.faults_detected);
+    assert!(on.arq.retries > 0, "the lossy link must retry");
+    assert_eq!(on.arq, off.arq);
 }
 
-/// Property: snapshot under one dispatch mode, restore under the other
-/// (all four combinations, several seeds) — the resumed outputs must be
-/// byte-identical to an uninterrupted reference run.
+/// Every fault of the default plan, injected into each stock pipeline at
+/// its own frame, has an effect: a rogue switch word fails typed (and is
+/// repaired the way the chaos harness repairs it), and a link degradation
+/// charges exactly its stall cycles to its own slot. A fault class that
+/// cannot fire fails here instead of reading as harmless in a campaign.
 #[test]
-fn checkpoint_recovery_is_byte_identical_across_dispatch_modes() {
-    for seed in [3u64, 11, 29] {
-        let config = HaloConfig::small_test(2).block_bytes(256);
-        let rec = RecordingConfig::new(RegionProfile::arm())
-            .channels(2)
-            .duration_ms(30)
-            .generate(seed);
-        let samples = rec.samples();
-
-        let mut reference = HaloSystem::new(Task::CompressLzma, config.clone()).unwrap();
-        let expected = reference.process(&rec).unwrap();
-
-        // Seed-varied cut point, aligned to whole frames.
-        let cut = {
-            let frames = samples.len() / 2;
-            let frame = frames / 3 + (seed as usize * 17) % (frames / 3);
-            frame * 2
-        };
-        for snap_dispatch in [true, false] {
-            for restore_dispatch in [true, false] {
-                let mut first = HaloSystem::new(Task::CompressLzma, config.clone()).unwrap();
-                first.set_block_dispatch(snap_dispatch);
-                first.push_block(&samples[..cut]).unwrap();
-                let ckpt = Checkpoint::snapshot(&first, &samples[..cut]);
-                drop(first);
-
-                let mut resumed = ckpt.restore(config.clone(), restore_dispatch).unwrap();
-                resumed.push_block(&samples[cut..]).unwrap();
-                let got = resumed.finalize().unwrap();
-                assert_eq!(
-                    got.radio_stream, expected.radio_stream,
-                    "seed {seed}: snap={snap_dispatch} restore={restore_dispatch}"
-                );
-                assert_eq!(got.detections, expected.detections);
-                assert_eq!(got.frames, expected.frames);
-            }
+fn every_default_plan_fault_has_an_effect_on_every_pipeline() {
+    let channels = 4;
+    let recording = RecordingConfig::new(RegionProfile::arm())
+        .channels(channels)
+        .duration_ms(40)
+        .generate(0xBC1);
+    let samples = recording.samples();
+    let stalls = |system: &HaloSystem| -> Vec<u64> {
+        let totals = system.runtime().slot_totals();
+        totals.iter().map(|t| t.stall_cycles).collect()
+    };
+    let mut seen = BTreeSet::new();
+    for task in Task::all() {
+        let plan = FaultPlan::generate(&FaultPlanConfig {
+            frames: recording.samples_per_channel() as u64,
+            pe_slots: task.pe_kinds().len() as u8,
+            ..Default::default()
+        });
+        let mut system = HaloSystem::new(task, HaloConfig::small_test(channels)).unwrap();
+        let legal = system.runtime().fabric().encoded_routes();
+        let mut at = 0;
+        for fault in &plan.schedule {
+            let frame = fault.frame as usize;
+            system
+                .push_block(&samples[at * channels..frame * channels])
+                .unwrap();
+            at = frame;
+            let before = stalls(&system);
+            let effect = match system.inject_faults(&[fault.action]) {
+                Err(SystemError::Runtime(_)) => {
+                    let fabric = system.runtime_mut().fabric_mut();
+                    fabric.program(Fabric::WORD_CLEAR).unwrap();
+                    for &word in &legal {
+                        fabric.program(word).unwrap();
+                    }
+                    "typed error"
+                }
+                Ok(()) => {
+                    let FaultAction::LinkDegrade {
+                        to, stall_cycles, ..
+                    } = fault.action
+                    else {
+                        panic!(
+                            "{task:?}: {:?} at frame {frame} had no effect",
+                            fault.action
+                        );
+                    };
+                    let mut expected = before;
+                    expected[to.0] += stall_cycles;
+                    assert_eq!(stalls(&system), expected, "{task:?} at frame {frame}");
+                    "stall cycles"
+                }
+                Err(other) => panic!("{task:?}: {:?} failed untyped: {other}", fault.action),
+            };
+            seen.insert((fault.action.name(), effect));
         }
+        system.push_block(&samples[at * channels..]).unwrap();
+        system.finalize().unwrap();
+    }
+    for kind in [
+        ("rogue_mmio", "typed error"),
+        ("link_degrade", "stall cycles"),
+    ] {
+        assert!(seen.contains(&kind), "{seen:?}");
     }
 }
 
@@ -168,46 +197,46 @@ fn fnv(text: &str) -> u64 {
 const CAMPAIGN_GOLDEN: [(u64, u64, [Option<u64>; 16]); 2] = [
     (
         0x000F_1EE7,
-        0x4752_66b0_ae8f_ac02,
+        0xfa58_b8f5_9074_a5cc,
         [
-            Some(0x71a8_fa77_a681_84c2),
-            Some(0x1017_9886_2842_426d),
-            Some(0x497b_97ca_dabc_5ef4),
-            Some(0x5415_73a5_f421_b55b),
-            Some(0x2805_05ee_d67c_7620),
-            Some(0x3995_92cd_9068_4e50),
-            Some(0xe32b_93ce_3ddb_667d),
-            Some(0x53cc_e040_52e4_98d6),
-            Some(0xccfe_51b3_f87b_b0a8),
-            Some(0x2e5b_3b69_008c_b00a),
-            Some(0x2d30_a717_5d58_57da),
-            Some(0x9c77_f2ed_f99b_da77),
-            Some(0xd38b_8ac6_673e_0265),
-            Some(0x0ea2_3430_842a_3003),
-            Some(0x3fbe_c458_d942_59c4),
-            Some(0x45d5_1ed3_6c1d_b190),
+            Some(0x4072_a2fb_eb11_6a0d),
+            Some(0x4f7d_2ac2_a5c6_b47e),
+            Some(0x41a0_929c_cd03_017b),
+            Some(0x84e7_bb46_259e_f38b),
+            Some(0x246a_139e_0835_c69b),
+            Some(0x07da_516e_ae6f_4437),
+            Some(0x32c3_b492_393a_8fbb),
+            Some(0xd8d2_a05b_d141_c5c1),
+            Some(0xa49c_9614_03ea_1c37),
+            Some(0x377d_9235_a3e0_e3db),
+            Some(0xfd63_a04d_f720_8ed1),
+            Some(0x4bd3_3939_702b_f3f4),
+            Some(0x8226_a2b3_a3de_a50e),
+            Some(0xa763_470a_201f_ace1),
+            Some(0xb117_4002_ed0b_af59),
+            Some(0xf2d3_c026_d30d_07b3),
         ],
     ),
     (
         7,
-        0xdb24_a660_981c_700a,
+        0xe929_5674_c5c5_dacc,
         [
-            Some(0x8ca6_6eda_64da_dae1),
-            Some(0x0cf6_6dd4_4f48_24e3),
-            Some(0x32a8_f312_07d2_edae),
-            Some(0x42f3_e9b2_daa8_18a4),
-            Some(0x7171_be76_1dad_da08),
-            Some(0xedb1_82d4_6aea_a053),
-            Some(0xe5b1_c55e_6133_dbb6),
-            Some(0x1e35_db12_15d8_862f),
-            Some(0x92ea_ccba_37db_366d),
-            Some(0x32b8_90c3_8e5a_5f2c),
-            Some(0x7fbf_edef_2a80_7618),
-            Some(0xae4f_95aa_6c42_b6be),
-            Some(0x460e_848a_ab86_41e2),
-            Some(0xc631_5304_7709_d181),
-            Some(0xd635_7dee_85cf_466a),
-            Some(0x96b8_4a23_b5aa_e9cb),
+            Some(0xc1b6_717b_fd51_7df4),
+            Some(0x5f9b_a9b7_a4bb_1f36),
+            Some(0x4115_3479_b20f_2ce7),
+            Some(0x47f9_b2a0_194f_9f7d),
+            Some(0xed57_2e6d_7efe_57f4),
+            Some(0xf54b_f482_01da_b1db),
+            Some(0xe9e4_8343_e7ee_4095),
+            Some(0x748b_abe8_bf13_2e1a),
+            Some(0xeb66_bc16_1e2f_460d),
+            Some(0x5321_dd97_d331_b1ac),
+            Some(0x70f8_82ea_e8ee_4f2c),
+            Some(0xe205_fd77_9833_ad89),
+            Some(0x20c0_5b13_adbb_4a36),
+            Some(0xab80_040d_804d_52b8),
+            Some(0xa65e_4e76_d15e_59ca),
+            Some(0x4134_92c9_aeba_e82b),
         ],
     ),
 ];

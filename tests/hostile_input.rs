@@ -1,13 +1,11 @@
 //! Hostile input against the readers of untrusted text: `json::parse`,
-//! `json::validate` and `TraceLog::read` (and `Checkpoint::read` through
-//! it) return `Ok` or `Err` on anything, never panic or overflow the
-//! stack, and reject integers too wide for their field instead of
-//! truncating them. Any checkpoint text that reads also restores to a
-//! system or a typed `ReplayError`, and restores only with the samples it
-//! was written with. The
-//! fabric's MMIO switch-word decoder gets the same treatment: any 32-bit
-//! word either loads a route that re-encodes to it or fails with a typed
-//! error.
+//! `json::validate` and `TraceLog::read` return `Ok` or `Err` on
+//! anything, never panic or overflow the stack, and reject integers too
+//! wide for their field instead of truncating them. Any trace-log text
+//! that reads also replays to a `ReplayReport` or a typed `ReplayError`,
+//! and reads only with the samples it was written with. The fabric's MMIO
+//! switch-word decoder gets the same treatment: any 32-bit word either
+//! loads a route that re-encodes to it or fails with a typed error.
 //!
 //! Mutations are drawn from the workspace's deterministic [`SimRng`], so
 //! every run explores the same inputs and a failure reproduces exactly.
@@ -15,10 +13,10 @@
 use std::collections::BTreeMap;
 use std::panic::catch_unwind;
 
+use halo::core::runtime::RuntimeError;
 use halo::core::tasks::movement;
-use halo::core::trace::{capture, ReplayError};
-use halo::core::{HaloConfig, HaloSystem, Task};
-use halo::faults::Checkpoint;
+use halo::core::trace::{capture, replay, ReplayError};
+use halo::core::{HaloConfig, HaloSystem, SystemError, Task};
 use halo::noc::{Fabric, FabricError};
 use halo::signal::{RecordingConfig, RegionProfile, SimRng};
 use halo::telemetry::{json, TraceLog};
@@ -100,32 +98,32 @@ fn truncated_and_corrupted_trace_logs_never_panic() {
     }
 }
 
-/// A checkpoint of 48 frames of two-channel LZ4 with 64-byte blocks, as
-/// `Checkpoint::write` serializes it, and the configuration it restores
-/// under. Its sample, radio and switch-word payloads are all short.
-fn captured_checkpoint() -> (HaloConfig, String) {
+/// A 48-frame, two-channel LZ4 run with 64-byte blocks, as
+/// `TraceLog::write` serializes its capture, and the configuration it
+/// replays under. Its sample, radio and switch-word payloads are all short.
+fn captured_lz4_log() -> (HaloConfig, String) {
     let config = HaloConfig::small_test(2).block_bytes(64);
     let rec = RecordingConfig::new(RegionProfile::arm())
         .channels(2)
         .samples(48)
         .generate(3);
     let mut sys = HaloSystem::new(Task::CompressLz4, config.clone()).unwrap();
-    sys.push_block(rec.samples()).unwrap();
-    let ckpt = Checkpoint::snapshot(&sys, rec.samples());
-    assert!(!ckpt.log().radio.is_empty() && !ckpt.log().switch_words.is_empty());
-    assert!(ckpt.restore(config.clone(), true).is_ok());
-    (config, ckpt.write())
+    let metrics = sys.process(&rec).unwrap();
+    let log = capture(&sys, &rec, &metrics);
+    assert!(!log.radio.is_empty() && !log.switch_words.is_empty());
+    assert!(replay(&log, config.clone()).unwrap().1.identical());
+    (config, log.write())
 }
 
 /// 2,000 SimRng truncations and single-byte substitutions of a captured
-/// checkpoint: every text `Checkpoint::read` accepts restores to `Ok` or
-/// a typed `ReplayError`, none panics, and every text that restores
-/// carries the original samples.
+/// LZ4 log: every text `TraceLog::read` accepts replays to a report or a
+/// typed `ReplayError`, none panics, and every text that reads carries
+/// the original samples.
 #[test]
-fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
-    let (config, text) = captured_checkpoint();
+fn truncated_and_corrupted_trace_logs_replay_or_fail_typed() {
+    let (config, text) = captured_lz4_log();
     assert!(text.is_ascii(), "every cut is a char boundary");
-    let samples = Checkpoint::read(&text).unwrap().log().samples.clone();
+    let samples = TraceLog::read(&text).unwrap().samples;
     let mut rng = SimRng::new(0xc4ec_4901);
     let mut outcomes: BTreeMap<&str, usize> = BTreeMap::new();
     for case in 0..2000 {
@@ -137,15 +135,17 @@ fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
         let corrupted = String::from_utf8(bytes).unwrap();
         for input in [&text[..cut], corrupted.as_str()] {
             let outcome = catch_unwind(|| {
-                let ckpt = Checkpoint::read(input).ok()?;
-                Some(match ckpt.restore(config.clone(), true) {
-                    Ok(_) if ckpt.log().samples != samples => "restored altered samples",
-                    Ok(_) => "restored",
+                let log = TraceLog::read(input).ok()?;
+                if log.samples != samples {
+                    return Some("read altered samples");
+                }
+                Some(match replay(&log, config.clone()) {
+                    Ok((_, report)) if report.identical() => "identical",
+                    Ok(_) => "divergent",
                     Err(ReplayError::UnknownTask(_)) => "unknown task",
                     Err(ReplayError::ConfigMismatch { .. }) => "config mismatch",
                     Err(ReplayError::FabricMismatch { .. }) => "fabric mismatch",
                     Err(ReplayError::System(_)) => "system",
-                    Err(ReplayError::Diverged { .. }) => "diverged",
                 })
             });
             let outcome = outcome.unwrap_or_else(|_| {
@@ -154,30 +154,69 @@ fn truncated_and_corrupted_checkpoints_restore_or_fail_typed() {
             *outcomes.entry(outcome.unwrap_or("unread")).or_default() += 1;
         }
     }
-    // Not vacuous: mutations reach restore and are refused there.
-    for seen in ["restored", "diverged", "unread"] {
+    // Not vacuous: mutations reach replay and are caught there.
+    for seen in ["identical", "divergent", "unread"] {
         assert!(outcomes.contains_key(seen), "{outcomes:?}");
     }
     assert!(outcomes.len() >= 5, "{outcomes:?}");
     assert!(
-        !outcomes.contains_key("restored altered samples"),
+        !outcomes.contains_key("read altered samples"),
         "{outcomes:?}"
     );
 }
 
-/// The last sample of the captured checkpoint has not reached the radio
-/// stream, so a replay of an altered copy reproduces every output; the
-/// samples digest refuses it at read time.
+/// A log whose channel count is zero or differs from the configuration's,
+/// or whose samples are not whole frames, still reads; replay refuses it
+/// with a typed error, never a panic.
 #[test]
-fn checkpoint_with_an_altered_last_sample_fails_to_read() {
-    let (_, text) = captured_checkpoint();
+fn trace_logs_with_a_bad_channel_count_replay_to_typed_errors() {
+    let (config, text) = captured_lz4_log();
+    assert_eq!(TraceLog::read(&text).unwrap().samples.len(), 96);
+    for channels in [0, 5] {
+        let hostile = text.replacen("\"channels\":2,", &format!("\"channels\":{channels},"), 1);
+        let log = TraceLog::read(&hostile).unwrap();
+        assert_eq!(log.channels, channels);
+        let replayed = replay(&log, config.clone());
+        assert!(
+            matches!(
+                replayed,
+                Err(ReplayError::System(SystemError::GeometryMismatch { expected: 2, got }))
+                    if got == channels as usize
+            ),
+            "{channels} channels: {replayed:?}"
+        );
+    }
+    let mut odd = TraceLog::read(&text).unwrap();
+    odd.samples.pop();
+    let odd = TraceLog::read(&odd.write()).unwrap();
+    let replayed = replay(&odd, config);
+    assert!(
+        matches!(
+            replayed,
+            Err(ReplayError::System(SystemError::Runtime(
+                RuntimeError::BadBlock {
+                    len: 95,
+                    frame_len: 2
+                }
+            )))
+        ),
+        "{replayed:?}"
+    );
+}
+
+/// Every sample a log carries is covered by its digest, so one altered
+/// hex digit of the last sample is refused at read time, before a replay
+/// could judge it.
+#[test]
+fn trace_log_with_an_altered_last_sample_fails_to_read() {
+    let (_, text) = captured_lz4_log();
     let start = text.find("\"samples\":\"").unwrap() + "\"samples\":\"".len();
     let end = start + text[start..].find('"').unwrap();
     // One hex digit of the last sample's four.
     let at = end - 4;
     let digit = u8::from_str_radix(&text[at..=at], 16).unwrap();
     let altered = format!("{}{:x}{}", &text[..at], digit ^ 0x8, &text[at + 1..]);
-    let err = Checkpoint::read(&altered).unwrap_err();
+    let err = TraceLog::read(&altered).unwrap_err();
     assert!(err.starts_with("samples_fnv"), "{err}");
 }
 
@@ -200,7 +239,6 @@ fn trace_log_integers_wider_than_their_field_are_errors() {
         let hostile = text.replacen(&from, &format!("\"{field}\":{}", wrapped_u32(value)), 1);
         let err = TraceLog::read(&hostile).unwrap_err();
         assert!(err.contains(field), "{field}: {err}");
-        assert_eq!(Checkpoint::read(&hostile).unwrap_err(), err);
     }
     // The widest value that fits still reads.
     let from = format!("\"channels\":{}", log.channels);
